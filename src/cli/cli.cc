@@ -226,7 +226,7 @@ int Usage(std::FILE* err) {
                "   --fa, --fb, --seed, --method, --validate)\n"
                "\n"
                "global flags:\n"
-               "  --kernel-backend=scalar|avx2|avx512|neon\n"
+               "  --kernel-backend=scalar|avx2|avx512\n"
                "      force every batch kernel onto one backend (results\n"
                "      are bit-identical; errors if the CPU lacks it)\n"
                "  --inject-faults=<site>=<trigger>[,...]\n"
@@ -1471,7 +1471,7 @@ int RunCli(const std::vector<std::string>& args, std::FILE* out,
     if (!ParseKernelBackend(name, &backend)) {
       std::fprintf(err,
                    "bad --kernel-backend: '%s' "
-                   "(want scalar|avx2|avx512|neon)\n",
+                   "(want scalar|avx2|avx512)\n",
                    name.c_str());
       return 2;
     }

@@ -507,12 +507,9 @@ Result<GhHistogram> GhHistogram::Build(const Dataset& ds, const Rect& extent,
   const Grid& grid = hist.grid_;
   const int per_axis = grid.per_axis();
   const bool basic = variant == GhVariant::kBasic;
-  const int tiles_per_axis = (per_axis + kGhTileCells - 1) / kGhTileCells;
-  const int64_t num_tiles =
-      static_cast<int64_t>(tiles_per_axis) * tiles_per_axis;
-  const bool blocked = (threads > 1 && num_tiles > 1) ||
-                       grid.num_cells() * 4 * 8 > kGhCacheResidentBytes;
-  if (!blocked) {
+  // The regime follows cache residency alone: on a resident grid the
+  // fused serial pass beats the blocked engine at every thread count.
+  if (grid.num_cells() * 4 * 8 <= kGhCacheResidentBytes) {
     // Serial cache-resident regime: the fused AoS kernel + scatter pass.
     if (basic) {
       GhSerialBuild<true>(grid, ds, &hist.c_, &hist.o_, &hist.h_, &hist.v_);

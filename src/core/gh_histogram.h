@@ -43,22 +43,21 @@ enum class GhVariant {
 /// Thread-safety: GhHistogram is a value type with no hidden shared state.
 /// Concurrent const access (estimates, accessors, Save) is safe; AddRect /
 /// RemoveRect / Merge are mutations and need external synchronization. The
-/// multi-threaded Build path never shares a histogram between workers — it
-/// records per-chunk contribution lists and replays them on the calling
-/// thread (see docs/ARCHITECTURE.md, "Threading model").
+/// multi-threaded Build path never shares a cell between workers — each
+/// owns a disjoint tile of cells (see core/tile_build.h).
 class GhHistogram {
  public:
   /// Builds the histogram of `ds` on a `level`-deep grid over `extent`.
   /// Every MBR should lie within `extent` (out-of-extent geometry is
   /// clamped by cell ownership and clipped contributions).
   ///
-  /// `threads` > 1 parallelizes the per-MBR geometry (cell ranges, area /
-  /// edge clipping) over fixed-size chunks of the input while the final
-  /// cell accumulation replays every contribution in dataset order on the
-  /// calling thread — the result is bit-identical to the serial build for
-  /// any thread count (asserted by tests/par_determinism_test.cc).
-  /// `threads` <= 1 is the serial path; 0 and negative values mean serial
-  /// too, never "auto".
+  /// The build regime follows cache residency alone: a grid whose stat
+  /// arrays fit the cache budget takes the fused serial pass whatever
+  /// `threads` says; a larger grid takes the cache-blocked
+  /// bin-then-accumulate regime, whose per-tile accumulate pass runs on
+  /// `threads` workers. The result is bit-identical to the serial build
+  /// for any thread count (asserted by tests/par_determinism_test.cc).
+  /// 0 and negative `threads` mean serial, never "auto".
   static Result<GhHistogram> Build(const Dataset& ds, const Rect& extent,
                                    int level,
                                    GhVariant variant = GhVariant::kRevised,

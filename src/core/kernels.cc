@@ -13,12 +13,6 @@
 #define SJSEL_KERNELS_X86 0
 #endif
 
-#if defined(__aarch64__)
-#define SJSEL_KERNELS_AARCH64 1
-#else
-#define SJSEL_KERNELS_AARCH64 0
-#endif
-
 namespace sjsel {
 namespace {
 
@@ -29,9 +23,6 @@ KernelBackend ProbeBackend() {
 #if SJSEL_KERNELS_X86
   if (__builtin_cpu_supports("avx512f")) return KernelBackend::kAvx512;
   if (__builtin_cpu_supports("avx2")) return KernelBackend::kAvx2;
-#endif
-#if SJSEL_KERNELS_AARCH64
-  return KernelBackend::kNeon;
 #endif
   return KernelBackend::kScalar;
 }
@@ -47,7 +38,7 @@ int EnvBackendOverride() {
     if (!ParseKernelBackend(env, &backend)) {
       std::fprintf(stderr,
                    "sjsel: ignoring unknown SJSEL_KERNEL_BACKEND '%s' "
-                   "(want scalar|avx2|avx512|neon)\n",
+                   "(want scalar|avx2|avx512)\n",
                    env);
       return -1;
     }
@@ -75,8 +66,7 @@ inline int32_t CellCoordScalar(double v, double origin, double cell_size,
 
 // ---------------------------------------------------------------------------
 // Scalar backends. These are the semantic reference: every SIMD kernel must
-// reproduce them bit-for-bit, lane by lane. The kNeon backend currently
-// dispatches here too (stub slot for aarch64 ports).
+// reproduce them bit-for-bit, lane by lane.
 // ---------------------------------------------------------------------------
 
 void CellRangeBatchScalar(const GridGeom& g, const SoaSlice& rects,
@@ -893,8 +883,6 @@ bool KernelBackendAvailable(KernelBackend backend) {
 #else
       return false;
 #endif
-    case KernelBackend::kNeon:
-      return SJSEL_KERNELS_AARCH64 != 0;
   }
   return false;
 }
@@ -930,8 +918,6 @@ const char* KernelBackendName(KernelBackend backend) {
       return "avx2";
     case KernelBackend::kAvx512:
       return "avx512";
-    case KernelBackend::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -943,8 +929,6 @@ bool ParseKernelBackend(const std::string& name, KernelBackend* out) {
     *out = KernelBackend::kAvx2;
   } else if (name == "avx512") {
     *out = KernelBackend::kAvx512;
-  } else if (name == "neon") {
-    *out = KernelBackend::kNeon;
   } else {
     return false;
   }
@@ -964,10 +948,6 @@ KernelDispatchInfo GetKernelDispatchInfo() {
   }
   return info;
 }
-
-// The kNeon slot is a stub: dispatch treats it as scalar until real NEON
-// kernels land, so an aarch64 build is functional (and bit-identical) out
-// of the box.
 
 void CellRangeBatch(const GridGeom& g, const SoaSlice& rects, int32_t* x0,
                     int32_t* y0, int32_t* x1, int32_t* y1) {

@@ -217,7 +217,7 @@ struct PhCellsOnlySink {
 // kernel output that stays cache-hot for the scatter pass.
 constexpr size_t kPhRectChunk = 2048;
 
-// Serial fast path for the scalar (and stub-NEON) backends: PH books raw
+// Serial fast path for the scalar backend: PH books raw
 // overlaps — no divisions — so the fused kernel's store-then-reload round
 // trip only pays for itself when the clip pass is vectorized. The scalar
 // dispatch instead books rects straight from the AoS input, ranges inline
@@ -305,9 +305,7 @@ void PhSerialBuild(const Grid& grid, const Dataset& ds, PhVariant variant,
   const Rect* rects = ds.rects().data();
   PhHistogram::Cell* C = cells->data();
 
-  const KernelBackend backend = ActiveKernelBackend();
-  if (backend == KernelBackend::kScalar ||
-      backend == KernelBackend::kNeon) {
+  if (ActiveKernelBackend() == KernelBackend::kScalar) {
     PhSerialBuildScalarDirect(grid, ds, variant, cells, span_sum,
                               crossing_count);
     return;
@@ -442,14 +440,10 @@ Result<PhHistogram> PhHistogram::Build(const Dataset& ds, const Rect& extent,
 
   const Grid& grid = hist.grid_;
   const int per_axis = grid.per_axis();
-  const int tiles_per_axis = (per_axis + kPhTileCells - 1) / kPhTileCells;
-  const int64_t num_tiles =
-      static_cast<int64_t>(tiles_per_axis) * tiles_per_axis;
-  const bool blocked =
-      (threads > 1 && num_tiles > 1) ||
-      grid.num_cells() * static_cast<int64_t>(sizeof(Cell)) >
-          kPhCacheResidentBytes;
-  if (!blocked) {
+  // The regime follows cache residency alone: on a resident grid the
+  // fused serial pass beats the blocked engine at every thread count.
+  if (grid.num_cells() * static_cast<int64_t>(sizeof(Cell)) <=
+      kPhCacheResidentBytes) {
     // Serial cache-resident regime: the fused AoS kernel + scatter pass
     // (books the global crossing sums inline, in dataset order).
     PhSerialBuild(grid, ds, variant, &hist.cells_, &hist.span_sum_,

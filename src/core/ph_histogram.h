@@ -52,10 +52,10 @@ class PhHistogram {
   };
 
   /// Builds the histogram of `ds` on a `level`-deep grid over `extent`.
-  /// `threads` > 1 parallelizes the per-MBR clipping over fixed-size input
-  /// chunks and replays the recorded contributions in dataset order, so the
-  /// result is bit-identical to the serial build for any thread count;
-  /// `threads` <= 1 is the serial path.
+  /// The build regime follows cache residency alone, as for GhHistogram:
+  /// a resident grid builds serially whatever `threads` says; a larger
+  /// grid runs the per-tile accumulate pass on `threads` workers. The
+  /// result is bit-identical to the serial build for any thread count.
   static Result<PhHistogram> Build(
       const Dataset& ds, const Rect& extent, int level,
       PhVariant variant = PhVariant::kSplitCrossing, int threads = 1);

@@ -33,7 +33,7 @@
 // instead of scattering read-modify-writes over the whole grid.
 //
 // Small grids need no blocking at all: when the histogram arrays are
-// cache-resident and the build is serial, the schemes skip the binning
+// cache-resident, whatever the thread count, the schemes skip the binning
 // pass and run the same expand-clip-accumulate engine once over the whole
 // dataset in place (identical per-cell order, so identical bits).
 

@@ -159,59 +159,21 @@ void PlanGreedy(const std::vector<size_t>& sizes,
   plan->tree = forest[0].expr;
 }
 
-}  // namespace
-
-bool MultiJoinPlan::degraded() const {
-  for (const PairSelectivity& pair : pairs) {
-    if (!pair.degradation_reason.empty()) return true;
-  }
-  return false;
-}
-
-Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
-                                    const PlannerOptions& options) {
-  SJSEL_TRACE_SPAN("planner.plan", "k=%zu threads=%d", inputs.size(),
-                   options.threads);
-  SJSEL_METRIC_INC("planner.plans");
-  SJSEL_METRIC_SCOPED_LATENCY("planner.plan_us");
+// Every pair's guarded-chain estimate, ordered by (i, j).
+Result<std::vector<EstimateResult>> EstimatePairs(
+    const std::vector<PlannerInput>& inputs, const PlannerOptions& options) {
+  // Pair order (and therefore all downstream output) is fixed by index;
+  // threads only change who computes which pair.
   const size_t k = inputs.size();
-  if (k < 2) {
-    return Status::InvalidArgument("plan needs at least two datasets");
-  }
-  if (k > 24) {
-    return Status::InvalidArgument("plan supports at most 24 datasets");
-  }
-  MultiJoinPlan plan;
-  for (const PlannerInput& input : inputs) {
-    if (input.dataset == nullptr) {
-      return Status::InvalidArgument("null dataset");
-    }
-    if (input.label.empty()) {
-      return Status::InvalidArgument("plan inputs need non-empty labels");
-    }
-    for (const std::string& seen : plan.inputs) {
-      if (seen == input.label) {
-        return Status::InvalidArgument("duplicate dataset label '" +
-                                       input.label + "'");
-      }
-    }
-    plan.inputs.push_back(input.label);
-    plan.input_sizes.push_back(input.dataset->size());
-  }
-
-  // Every pairwise selectivity, from the guarded chain. Pair order (and
-  // therefore all downstream output) is fixed by index; threads only
-  // change who computes which pair.
   std::vector<std::pair<size_t, size_t>> pair_ids;
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = i + 1; j < k; ++j) pair_ids.emplace_back(i, j);
   }
+  SJSEL_TRACE_SPAN("planner.pair_estimates", "pairs=%zu", pair_ids.size());
   const GuardedEstimator estimator(options.estimator);
   std::vector<Result<EstimateResult>> results(
       pair_ids.size(), Status::Internal("pair estimate not run"));
   {
-    SJSEL_TRACE_SPAN("planner.pair_estimates", "pairs=%zu",
-                     pair_ids.size());
     std::unique_ptr<ThreadPool> pool;
     if (options.threads > 1) {
       pool = std::make_unique<ThreadPool>(options.threads);
@@ -228,26 +190,88 @@ Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
                   }
                 });
   }
+  std::vector<EstimateResult> estimates;
+  estimates.reserve(pair_ids.size());
   for (size_t idx = 0; idx < pair_ids.size(); ++idx) {
-    const auto [i, j] = pair_ids[idx];
     if (!results[idx].ok()) {
-      return Status(results[idx].status().code(),
-                    "pair " + plan.inputs[i] + " * " + plan.inputs[j] + ": " +
-                        results[idx].status().message());
+      const auto [i, j] = pair_ids[idx];
+      const Status& status = results[idx].status();
+      return Status(status.code(), "pair " + inputs[i].label + " * " +
+                                       inputs[j].label + ": " +
+                                       status.message());
     }
-    const EstimateResult& est = *results[idx];
-    PairSelectivity pair;
-    pair.i = i;
-    pair.j = j;
-    pair.estimated_pairs = est.outcome.estimated_pairs;
-    pair.selectivity = est.outcome.selectivity;
-    pair.rung = est.rung;
-    pair.rung_label = est.rung_label;
-    pair.degradation_reason = est.degradation_reason;
-    pair.clamped = est.clamped;
-    plan.pairs.push_back(std::move(pair));
-    SJSEL_METRIC_INC("planner.pairs.estimated");
-    if (est.degraded()) SJSEL_METRIC_INC("planner.pairs.degraded");
+    estimates.push_back(std::move(results[idx]).value());
+  }
+  return estimates;
+}
+
+}  // namespace
+
+bool MultiJoinPlan::degraded() const {
+  for (const PairSelectivity& pair : pairs) {
+    if (!pair.degradation_reason.empty()) return true;
+  }
+  return false;
+}
+
+Status ValidatePlannerInputs(const std::vector<PlannerInput>& inputs) {
+  if (inputs.size() < 2) {
+    return Status::InvalidArgument("plan needs at least two datasets");
+  }
+  if (inputs.size() > 24) {
+    return Status::InvalidArgument("plan supports at most 24 datasets");
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (inputs[i].dataset == nullptr) {
+      return Status::InvalidArgument("null dataset");
+    }
+    if (inputs[i].label.empty()) {
+      return Status::InvalidArgument("plan inputs need non-empty labels");
+    }
+    for (size_t seen = 0; seen < i; ++seen) {
+      if (inputs[seen].label == inputs[i].label) {
+        return Status::InvalidArgument("duplicate dataset label '" +
+                                       inputs[i].label + "'");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Result<MultiJoinPlan> PlanFromPairEstimates(
+    const std::vector<PlannerInput>& inputs,
+    const std::vector<EstimateResult>& pair_estimates,
+    const PlannerOptions& options) {
+  SJSEL_TRACE_SPAN("planner.plan", "k=%zu", inputs.size());
+  SJSEL_METRIC_INC("planner.plans");
+  SJSEL_METRIC_SCOPED_LATENCY("planner.plan_us");
+  SJSEL_RETURN_IF_ERROR(ValidatePlannerInputs(inputs));
+  const size_t k = inputs.size();
+  if (pair_estimates.size() != k * (k - 1) / 2) {
+    return Status::InvalidArgument("plan needs one estimate per pair");
+  }
+  MultiJoinPlan plan;
+  for (const PlannerInput& input : inputs) {
+    plan.inputs.push_back(input.label);
+    plan.input_sizes.push_back(input.dataset->size());
+  }
+  size_t idx = 0;
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j, ++idx) {
+      const EstimateResult& est = pair_estimates[idx];
+      PairSelectivity pair;
+      pair.i = i;
+      pair.j = j;
+      pair.estimated_pairs = est.outcome.estimated_pairs;
+      pair.selectivity = est.outcome.selectivity;
+      pair.rung = est.rung;
+      pair.rung_label = est.rung_label;
+      pair.degradation_reason = est.degradation_reason;
+      pair.clamped = est.clamped;
+      plan.pairs.push_back(std::move(pair));
+      SJSEL_METRIC_INC("planner.pairs.estimated");
+      if (est.degraded()) SJSEL_METRIC_INC("planner.pairs.degraded");
+    }
   }
 
   const int dp_limit = std::min(options.dp_limit, 16);
@@ -258,6 +282,14 @@ Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
   }
   if (plan.degraded()) SJSEL_METRIC_INC("planner.plans.degraded");
   return plan;
+}
+
+Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
+                                    const PlannerOptions& options) {
+  SJSEL_RETURN_IF_ERROR(ValidatePlannerInputs(inputs));
+  std::vector<EstimateResult> estimates;
+  SJSEL_ASSIGN_OR_RETURN(estimates, EstimatePairs(inputs, options));
+  return PlanFromPairEstimates(inputs, estimates, options);
 }
 
 std::string RenderPlanText(const MultiJoinPlan& plan) {

@@ -12,11 +12,13 @@
 // (answering rung, degradation_reason) rides along into the plan, so a
 // plan built on degraded estimates says so.
 //
-// Distinct from src/engine/planner.h: the engine's planner orders a
-// *chain* query (consecutive-intersect semantics, catalog-backed, GH
-// only). This planner targets the clique multi-way spatial join — every
-// result tuple intersects pairwise — costs bushy trees, and runs on the
-// guarded chain so it degrades instead of failing.
+// It targets the clique multi-way spatial join — every result tuple
+// intersects pairwise, so every join tree computes the same query — costs
+// bushy trees, and runs on the guarded chain so it degrades instead of
+// failing. Planning is two halves: pair estimation and a planning core
+// over the k(k-1)/2 estimates (PlanFromPairEstimates). PlanMultiJoin runs
+// both; the server feeds the core from its estimate cache instead, so
+// `estimate` and `plan` share one cache.
 
 #include <cstddef>
 #include <string>
@@ -92,9 +94,23 @@ struct MultiJoinPlan {
   bool degraded() const;
 };
 
+/// OK when `inputs` can be planned: 2 to 24 entries, each with a dataset
+/// and a unique non-empty label.
+Status ValidatePlannerInputs(const std::vector<PlannerInput>& inputs);
+
+/// The planning core: plans from one estimate per pair (i, j), i < j,
+/// ordered by (i, j). Only `options.dp_limit` is read.
+Result<MultiJoinPlan> PlanFromPairEstimates(
+    const std::vector<PlannerInput>& inputs,
+    const std::vector<EstimateResult>& pair_estimates,
+    const PlannerOptions& options = {});
+
 /// Plans a multi-way spatial join over `inputs` (datasets borrowed; at
-/// least two, unique non-empty labels). Deterministic: identical inputs
-/// and options produce an identical plan for every `threads` value.
+/// least two, unique non-empty labels): every pair's guarded-chain
+/// estimate, on `options.threads` workers with `options.estimator`, then
+/// PlanFromPairEstimates. The first failing pair in (i, j) order fails
+/// the call. Deterministic: identical inputs and options produce an
+/// identical plan for every `threads` value.
 Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
                                     const PlannerOptions& options = {});
 

@@ -1,16 +1,12 @@
 #ifndef SJSEL_SERVER_CATALOG_H_
 #define SJSEL_SERVER_CATALOG_H_
 
-// The daemon-side catalog: datasets loaded once per path and pair
-// estimates computed once per (a, b), both kept for the server's
-// lifetime so an optimizer calling `estimate` millions of times pays
-// the load/build cost once. Thread-safe; see docs/SERVER.md "Catalog".
-//
-// Distinct from src/engine/catalog.h (the single-threaded, in-process
-// SDBMS catalog keyed by dataset *name* over one workspace extent):
-// this one is keyed by *file path*, serves concurrent workers, and
-// caches guarded-chain results — provenance included — not bare GH
-// histograms.
+// The catalog: datasets loaded once per file path and guarded-chain pair
+// estimates (provenance included) computed once per (a, b), both kept for
+// the server's lifetime so an optimizer calling `estimate` or `plan`
+// millions of times pays the load/build cost once. `plan` reads and fills
+// the same estimate cache as `estimate`. Thread-safe; see docs/SERVER.md
+// "Catalog".
 
 #include <map>
 #include <memory>

@@ -600,9 +600,25 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
       keep_alive.push_back(*ds);
       inputs.push_back(PlannerInput{path, keep_alive.back().get()});
     }
-    PlannerOptions options;
-    options.estimator = options_.estimator;
-    const auto plan = PlanMultiJoin(inputs, options);
+    const Status valid = ValidatePlannerInputs(inputs);
+    if (!valid.ok()) return fail_status(valid);
+    // Pair estimates come from the catalog's estimate cache, the one
+    // `estimate` reads and fills, so a pair is built at most once per
+    // server whichever op asks for it first.
+    std::vector<EstimateResult> estimates;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      for (size_t j = i + 1; j < inputs.size(); ++j) {
+        auto est = catalog_.Estimate(req.paths[i], req.paths[j]);
+        if (!est.ok()) {
+          return fail_status(Status(est.status().code(),
+                                    "pair " + req.paths[i] + " * " +
+                                        req.paths[j] + ": " +
+                                        est.status().message()));
+        }
+        estimates.push_back(std::move(est).value());
+      }
+    }
+    const auto plan = PlanFromPairEstimates(inputs, estimates);
     if (!plan.ok()) return fail_status(plan.status());
     auto plan_json = JsonValue::Parse(RenderPlanJson(*plan));
     if (!plan_json.ok()) return fail_status(plan_json.status());

@@ -21,9 +21,6 @@ namespace sjsel {
 ///   io.read          ReadFile() fails with IoError before touching disk.
 ///   io.corrupt       ReadFile() succeeds but one byte of the returned
 ///                    buffer is flipped (drives every CRC/magic check).
-///   catalog.hist_load  Catalog::GetHistogram's cache-file load fails with
-///                    Corruption; the catalog falls back to an in-memory
-///                    rebuild.
 ///   pool.task        ParallelFor throws FaultInjectedError from one block
 ///                    (worker-failure path; rethrown deterministically).
 ///   estimator.gh / estimator.ph / estimator.sampling / estimator.parametric
@@ -42,7 +39,6 @@ namespace sjsel {
 ///                    replay must reject it via the record CRC.
 inline constexpr char kFaultSiteIoRead[] = "io.read";
 inline constexpr char kFaultSiteIoCorrupt[] = "io.corrupt";
-inline constexpr char kFaultSiteCatalogHistLoad[] = "catalog.hist_load";
 inline constexpr char kFaultSitePoolTask[] = "pool.task";
 inline constexpr char kFaultSiteEstimatorGh[] = "estimator.gh";
 inline constexpr char kFaultSiteEstimatorPh[] = "estimator.ph";

@@ -12,7 +12,6 @@
 #include "core/gh_histogram.h"
 #include "core/guarded_estimator.h"
 #include "datagen/generators.h"
-#include "engine/catalog.h"
 #include "geom/dataset.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -176,74 +175,6 @@ TEST(FaultSiteTest, InlineParallelForAlsoConsultsPoolTask) {
       FaultInjectedError);
 }
 
-TEST(CatalogFaultTest, InjectedCacheLoadFallsBackToRebuild) {
-  const Dataset data = MakeData("cached", 800, 11);
-  const Rect extent(0, 0, 1, 1);
-
-  // Prime the cache with a real histogram file.
-  const std::string cache_dir = ::testing::TempDir();
-  const std::string cache_path = cache_dir + "/cached.gh";
-  {
-    Catalog warm(extent, 6);
-    warm.SetHistogramCacheDir(cache_dir);
-    ASSERT_TRUE(warm.AddDataset(data).ok());
-    ASSERT_TRUE(warm.GetHistogram("cached").ok());
-  }
-
-  // Reference estimate from a catalog that loads the cache cleanly.
-  Catalog clean(extent, 6);
-  clean.SetHistogramCacheDir(cache_dir);
-  ASSERT_TRUE(clean.AddDataset(data).ok());
-  const Dataset other = MakeData("other", 800, 12);
-  ASSERT_TRUE(clean.AddDataset(other).ok());
-  const auto clean_pairs = clean.EstimateJoinPairs("cached", "other");
-  ASSERT_TRUE(clean_pairs.ok());
-  EXPECT_EQ(clean.histogram_rebuilds(), 1u);  // "other" has no cache entry
-
-  // Same query with the load fault armed: the catalog must rebuild both
-  // histograms in memory and produce the identical estimate.
-  ScopedFaultInjection arm("catalog.hist_load=always");
-  ASSERT_TRUE(arm.status().ok());
-  Catalog faulty(extent, 6);
-  faulty.SetHistogramCacheDir(cache_dir);
-  ASSERT_TRUE(faulty.AddDataset(data).ok());
-  ASSERT_TRUE(faulty.AddDataset(other).ok());
-  const auto faulty_pairs = faulty.EstimateJoinPairs("cached", "other");
-  ASSERT_TRUE(faulty_pairs.ok());
-  EXPECT_EQ(faulty_pairs.value(), clean_pairs.value());
-  EXPECT_EQ(faulty.histogram_rebuilds(), 2u);
-  std::remove(cache_path.c_str());
-  std::remove((cache_dir + "/other.gh").c_str());
-}
-
-TEST(CatalogFaultTest, CorruptCacheFileFallsBackToRebuild) {
-  const Dataset data = MakeData("mangled", 600, 21);
-  const Rect extent(0, 0, 1, 1);
-  const std::string cache_dir = ::testing::TempDir();
-  const std::string cache_path = cache_dir + "/mangled.gh";
-  {
-    Catalog warm(extent, 6);
-    warm.SetHistogramCacheDir(cache_dir);
-    ASSERT_TRUE(warm.AddDataset(data).ok());
-    ASSERT_TRUE(warm.GetHistogram("mangled").ok());
-  }
-  // Stomp the cache file; the CRC check must reject it and the catalog
-  // must transparently rebuild.
-  ASSERT_TRUE(WriteFile(cache_path, "definitely not a histogram").ok());
-  Catalog catalog(extent, 6);
-  catalog.SetHistogramCacheDir(cache_dir);
-  ASSERT_TRUE(catalog.AddDataset(data).ok());
-  ASSERT_TRUE(catalog.GetHistogram("mangled").ok());
-  EXPECT_EQ(catalog.histogram_rebuilds(), 1u);
-  // The rebuild refreshed the cache: a fresh catalog loads it cleanly.
-  Catalog reloaded(extent, 6);
-  reloaded.SetHistogramCacheDir(cache_dir);
-  ASSERT_TRUE(reloaded.AddDataset(data).ok());
-  ASSERT_TRUE(reloaded.GetHistogram("mangled").ok());
-  EXPECT_EQ(reloaded.histogram_rebuilds(), 0u);
-  std::remove(cache_path.c_str());
-}
-
 class GuardedChainTest : public ::testing::Test {
  protected:
   GuardedChainTest()
@@ -316,10 +247,13 @@ TEST_F(GuardedChainTest, WorkerFaultInSamplingRungDegradesNotCrashes) {
 TEST(ThreadedBuildFaultTest, WorkerFaultEscapesGhBuildDeterministically) {
   // A threaded histogram build is a plain ParallelFor consumer: an armed
   // pool.task fault surfaces as FaultInjectedError on the calling thread.
+  // Level 9 (8 MB of GH stats) is past the cache-resident budget, so the
+  // build takes the tile-parallel blocked regime; resident grids build
+  // serially whatever the thread count.
   const Dataset data = MakeData("threaded", 3000, 9);
   ScopedFaultInjection arm("pool.task=always");
   ASSERT_TRUE(arm.status().ok());
-  EXPECT_THROW(GhHistogram::Build(data, Rect(0, 0, 1, 1), 7,
+  EXPECT_THROW(GhHistogram::Build(data, Rect(0, 0, 1, 1), 9,
                                   GhVariant::kRevised, 4),
                FaultInjectedError);
 }

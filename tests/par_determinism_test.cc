@@ -13,8 +13,7 @@
 #include "core/ph_histogram.h"
 #include "core/sampling.h"
 #include "datagen/generators.h"
-#include "engine/catalog.h"
-#include "engine/executor.h"
+#include "join/chain_join.h"
 #include "join/pbsm.h"
 #include "join/rtree_join.h"
 #include "rtree/rtree.h"
@@ -207,20 +206,17 @@ TEST(ParDeterminismTest, SamplingParallelEstimateMatchesSerial) {
 }
 
 TEST(ParDeterminismTest, ExecutorParallelChainJoinMatchesSerial) {
-  Catalog catalog(kUnit, 5);
-  ASSERT_TRUE(catalog.AddDataset(MakeUniform(2000, 31)).ok());
-  ASSERT_TRUE(catalog.AddDataset(MakeSkewed(2000, 32)).ok());
-  Dataset third = MakeUniform(2000, 33);
-  third.set_name("u2");
-  ASSERT_TRUE(catalog.AddDataset(std::move(third)).ok());
+  const Dataset u = MakeUniform(2000, 31);
+  const Dataset skew = MakeSkewed(2000, 32);
+  const Dataset u2 = MakeUniform(2000, 33);
 
-  const std::vector<std::string> order = {"u", "skew", "u2"};
-  const auto serial = ExecuteChainJoin(&catalog, order);
+  const std::vector<ChainStep> order = {{&u}, {&skew}, {&u2}};
+  const auto serial = ExecuteChainJoin(order);
   ASSERT_TRUE(serial.ok());
   for (const int threads : kThreadCounts) {
     ExecuteOptions options;
     options.threads = threads;
-    const auto parallel = ExecuteChainJoin(&catalog, order, options);
+    const auto parallel = ExecuteChainJoin(order, options);
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(parallel->result_tuples, serial->result_tuples);
     EXPECT_EQ(parallel->step_cardinalities, serial->step_cardinalities);

@@ -199,6 +199,9 @@ TEST_F(PlannerTest, InputValidation) {
   auto empty_label = Inputs(2);
   empty_label[1].label = "";
   EXPECT_FALSE(PlanMultiJoin(empty_label).ok());
+
+  // The planning core wants exactly one estimate per pair.
+  EXPECT_FALSE(PlanFromPairEstimates(Inputs(3), {EstimateResult{}}).ok());
 }
 
 }  // namespace

@@ -169,6 +169,69 @@ TEST_F(ServerTest, PlanMatchesInProcessPlanner) {
   EXPECT_EQ(plan_json->Dump(), expected->Dump());
 }
 
+// A process-global counter's current value, read through the `metrics`
+// op (0 when the counter has never fired).
+double CounterValue(Server* server, const std::string& name) {
+  auto parsed = JsonValue::Parse(server->HandleLine(R"({"op":"metrics"})"));
+  EXPECT_TRUE(parsed.ok());
+  if (!parsed.ok()) return -1.0;
+  const JsonValue* counters =
+      parsed->Find("result")->Find("snapshot")->Find("counters");
+  const JsonValue* counter = counters != nullptr ? counters->Find(name)
+                                                 : nullptr;
+  return counter != nullptr ? counter->number_value() : 0.0;
+}
+
+TEST_F(ServerTest, RepeatedPlanIsServedFromTheEstimateCache) {
+  Server server(ServerOptions{});
+  const std::string line = R"({"op":"plan","paths":[")" + a_path_ +
+                           R"(",")" + b_path_ + R"(",")" + c_path_ +
+                           R"("]})";
+  const JsonValue first = Handle(&server, line);
+  ASSERT_TRUE(first.Find("ok")->bool_value()) << ErrorCode(first);
+  const double builds = CounterValue(&server, "hist.gh.builds");
+  const double hits = CounterValue(&server, "server.catalog.estimate_hits");
+
+  const JsonValue repeat = Handle(&server, line);
+  ASSERT_TRUE(repeat.Find("ok")->bool_value()) << ErrorCode(repeat);
+  EXPECT_EQ(CounterValue(&server, "hist.gh.builds") - builds, 0.0);
+  EXPECT_EQ(CounterValue(&server, "server.catalog.estimate_hits") - hits,
+            3.0);
+  EXPECT_EQ(repeat.Find("result")->Dump(), first.Find("result")->Dump());
+}
+
+TEST_F(ServerTest, PlanReusesAPairCachedByEstimate) {
+  Server server(ServerOptions{});
+  const JsonValue est = Handle(
+      &server, R"({"op":"estimate","a":")" + a_path_ + R"(","b":")" +
+                   b_path_ + R"("})");
+  ASSERT_TRUE(est.Find("ok")->bool_value()) << ErrorCode(est);
+  const double hits = CounterValue(&server, "server.catalog.estimate_hits");
+  const double misses =
+      CounterValue(&server, "server.catalog.estimate_misses");
+
+  const JsonValue plan = Handle(
+      &server, R"({"op":"plan","paths":[")" + a_path_ + R"(",")" + b_path_ +
+                   R"(",")" + c_path_ + R"("]})");
+  ASSERT_TRUE(plan.Find("ok")->bool_value()) << ErrorCode(plan);
+  // (a, b) is the cached pair; (a, c) and (b, c) are new.
+  EXPECT_EQ(CounterValue(&server, "server.catalog.estimate_hits") - hits,
+            1.0);
+  EXPECT_EQ(
+      CounterValue(&server, "server.catalog.estimate_misses") - misses, 2.0);
+  const JsonValue& pair =
+      plan.Find("result")->Find("plan")->Find("pairs")->items()[0];
+  EXPECT_EQ(pair.Find("a")->string_value(), a_path_);
+  EXPECT_EQ(pair.Find("b")->string_value(), b_path_);
+  const JsonValue* served = est.Find("result");
+  EXPECT_EQ(pair.Find("estimated_pairs")->number_value(),
+            served->Find("estimated_pairs")->number_value());
+  EXPECT_EQ(pair.Find("selectivity")->number_value(),
+            served->Find("selectivity")->number_value());
+  EXPECT_EQ(pair.Find("rung")->string_value(),
+            served->Find("rung")->string_value());
+}
+
 TEST_F(ServerTest, StatsWithPathReportsDatasetStatistics) {
   Server server(ServerOptions{});
   const JsonValue response =
