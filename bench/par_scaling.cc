@@ -31,6 +31,7 @@
 // Every parallel result is checked against the serial result before a row
 // is printed — a speedup that changes the answer is a bug, not a win.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,26 +57,42 @@ const Rect kUnit(0, 0, 1, 1);
 const int kThreadCounts[] = {1, 2, 4, 8};
 constexpr int kLevel = 7;
 
-int g_reps = 3;
-
-// Best-of-g_reps wall-clock seconds.
-template <typename Fn>
-double TimeBest(Fn&& fn) {
-  double best = 0.0;
-  for (int rep = 0; rep < g_reps; ++rep) {
-    Timer timer;
-    fn();
-    const double s = timer.ElapsedSeconds();
-    if (rep == 0 || s < best) best = s;
-  }
-  return best;
-}
+// Reps per thread count. A multiple of 4, so over the run every thread
+// count goes first (and last) equally often.
+int g_reps = 16;
 
 struct Row {
   std::string name;
   double seconds[4] = {0, 0, 0, 0};
   bool identical = true;  ///< parallel output matched serial output
 };
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+// Fills row->seconds with the median over g_reps of `run(threads)`'s
+// wall-clock time at each thread count. Rep r starts at thread count r mod
+// 4, so drift over the run (clock ramp, cache warm-up, a noisy neighbour)
+// lands on every column alike rather than on t1. Only `run` is timed:
+// `same(result)` checks each result against the serial answer after the
+// timer stops.
+template <typename Run, typename Same>
+void TimeRow(Row* row, Run&& run, Same&& same) {
+  std::vector<double> samples[4];
+  for (int rep = 0; rep < g_reps; ++rep) {
+    for (int k = 0; k < 4; ++k) {
+      const int i = (rep + k) % 4;
+      Timer timer;
+      const auto result = run(kThreadCounts[i]);
+      samples[i].push_back(timer.ElapsedSeconds());
+      if (!same(result)) row->identical = false;
+    }
+  }
+  for (int i = 0; i < 4; ++i) row->seconds[i] = Median(samples[i]);
+}
 
 void PrintRow(const Row& row) {
   std::printf("%-24s", row.name.c_str());
@@ -133,14 +150,18 @@ int main(int argc, char** argv) {
 
   std::printf("parallel scaling, %zu rects/input, %d hardware threads\n",
               base_n, ThreadPool::DefaultThreads());
-  std::printf("(speedup vs the 1-thread run of the same code path; every\n"
-              " parallel result is verified against serial before printing)\n\n");
+  std::printf("(median of %d reps, thread-count order rotated per rep;\n"
+              " speedup vs the 1-thread run of the same code path; every\n"
+              " parallel result is verified against serial before printing)\n\n",
+              g_reps);
   std::printf("%-24s  %18s  %18s  %18s  %18s\n", "workload", "1 thread",
               "2 threads", "4 threads", "8 threads");
 
   bench::BenchJsonWriter json("par_scaling");
   json.AddMetadata("base_items", std::to_string(base_n));
   json.AddMetadata("mode", smoke ? "smoke" : "full");
+  json.AddMetadata("reps", std::to_string(g_reps));
+  json.AddMetadata("statistic", "median");
   bool all_identical = true;
 
   // Histogram builds: backend x size x threads.
@@ -163,17 +184,16 @@ int main(int argc, char** argv) {
         Row row{"gh-build" + tag, {}, true};
         const auto serial =
             GhHistogram::Build(gh_input, kUnit, kLevel, GhVariant::kRevised);
-        for (int i = 0; i < 4; ++i) {
-          const int threads = kThreadCounts[i];
-          row.seconds[i] = TimeBest([&] {
-            const auto hist = GhHistogram::Build(gh_input, kUnit, kLevel,
-                                                 GhVariant::kRevised, threads);
-            if (hist->c() != serial->c() || hist->o() != serial->o() ||
-                hist->h() != serial->h() || hist->v() != serial->v()) {
-              row.identical = false;
-            }
-          });
-        }
+        TimeRow(
+            &row,
+            [&](int threads) {
+              return GhHistogram::Build(gh_input, kUnit, kLevel,
+                                        GhVariant::kRevised, threads);
+            },
+            [&](const Result<GhHistogram>& hist) {
+              return hist->c() == serial->c() && hist->o() == serial->o() &&
+                     hist->h() == serial->h() && hist->v() == serial->v();
+            });
         PrintRow(row);
         AddRowJson(&json, row, n, backend_name);
         all_identical = all_identical && row.identical;
@@ -183,26 +203,27 @@ int main(int argc, char** argv) {
         Row row{"ph-build" + tag, {}, true};
         const auto serial = PhHistogram::Build(ph_input, kUnit, kLevel,
                                                PhVariant::kSplitCrossing);
-        for (int i = 0; i < 4; ++i) {
-          const int threads = kThreadCounts[i];
-          row.seconds[i] = TimeBest([&] {
-            const auto hist = PhHistogram::Build(
-                ph_input, kUnit, kLevel, PhVariant::kSplitCrossing, threads);
-            if (hist->avg_span() != serial->avg_span() ||
-                hist->cells().size() != serial->cells().size()) {
-              row.identical = false;
-            }
-            for (size_t c = 0; c < hist->cells().size(); ++c) {
-              const auto& x = hist->cells()[c];
-              const auto& y = serial->cells()[c];
-              if (x.num != y.num || x.area_sum != y.area_sum ||
-                  x.num_x != y.num_x || x.area_sum_x != y.area_sum_x) {
-                row.identical = false;
-                break;
+        TimeRow(
+            &row,
+            [&](int threads) {
+              return PhHistogram::Build(ph_input, kUnit, kLevel,
+                                        PhVariant::kSplitCrossing, threads);
+            },
+            [&](const Result<PhHistogram>& hist) {
+              if (hist->avg_span() != serial->avg_span() ||
+                  hist->cells().size() != serial->cells().size()) {
+                return false;
               }
-            }
-          });
-        }
+              for (size_t c = 0; c < hist->cells().size(); ++c) {
+                const auto& x = hist->cells()[c];
+                const auto& y = serial->cells()[c];
+                if (x.num != y.num || x.area_sum != y.area_sum ||
+                    x.num_x != y.num_x || x.area_sum_x != y.area_sum_x) {
+                  return false;
+                }
+              }
+              return true;
+            });
         PrintRow(row);
         AddRowJson(&json, row, n, backend_name);
         all_identical = all_identical && row.identical;
@@ -216,15 +237,14 @@ int main(int argc, char** argv) {
   {
     Row row{"pbsm-join", {}, true};
     const uint64_t serial = PbsmJoinCount(uniform, clustered);
-    for (int i = 0; i < 4; ++i) {
-      PbsmOptions options;
-      options.threads = kThreadCounts[i];
-      row.seconds[i] = TimeBest([&] {
-        if (PbsmJoinCount(uniform, clustered, options) != serial) {
-          row.identical = false;
-        }
-      });
-    }
+    TimeRow(
+        &row,
+        [&](int threads) {
+          PbsmOptions options;
+          options.threads = threads;
+          return PbsmJoinCount(uniform, clustered, options);
+        },
+        [&](uint64_t count) { return count == serial; });
     PrintRow(row);
     AddRowJson(&json, row, base_n);
     all_identical = all_identical && row.identical;
@@ -236,12 +256,9 @@ int main(int argc, char** argv) {
     const RTree ta = RTree::BulkLoadStr(RTree::DatasetEntries(uniform));
     const RTree tb = RTree::BulkLoadStr(RTree::DatasetEntries(clustered));
     const uint64_t serial = RTreeJoinCount(ta, tb);
-    for (int i = 0; i < 4; ++i) {
-      const int threads = kThreadCounts[i];
-      row.seconds[i] = TimeBest([&] {
-        if (RTreeJoinCount(ta, tb, threads) != serial) row.identical = false;
-      });
-    }
+    TimeRow(
+        &row, [&](int threads) { return RTreeJoinCount(ta, tb, threads); },
+        [&](uint64_t count) { return count == serial; });
     PrintRow(row);
     AddRowJson(&json, row, base_n);
     all_identical = all_identical && row.identical;
@@ -254,13 +271,15 @@ int main(int argc, char** argv) {
     options.frac_a = 0.1;
     options.frac_b = 0.1;
     const auto serial = EstimateBySampling(uniform, clustered, options);
-    for (int i = 0; i < 4; ++i) {
-      options.threads = kThreadCounts[i];
-      row.seconds[i] = TimeBest([&] {
-        const auto est = EstimateBySampling(uniform, clustered, options);
-        if (est->sample_pairs != serial->sample_pairs) row.identical = false;
-      });
-    }
+    TimeRow(
+        &row,
+        [&](int threads) {
+          options.threads = threads;
+          return EstimateBySampling(uniform, clustered, options);
+        },
+        [&](const Result<SamplingEstimate>& est) {
+          return est->sample_pairs == serial->sample_pairs;
+        });
     PrintRow(row);
     AddRowJson(&json, row, base_n);
     all_identical = all_identical && row.identical;

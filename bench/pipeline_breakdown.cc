@@ -1,11 +1,14 @@
 // End-to-end pipeline breakdown: how long each phase of a full estimation
-// run takes — dataset generation, GH histogram builds, the guarded
-// estimate, and the exact plane-sweep join that grounds it. Each phase is
-// timed with a ScopedTimer reporting into a pipeline.*_us metrics
-// histogram, and the emitted BENCH_pipeline.json embeds the whole metrics
-// snapshot, so the per-phase wall clock and the engine's own counters
-// (hist.gh.builds, join.plane_sweep.pairs, estimator.answered.*) come from
-// one instrumented run rather than separate stopwatches.
+// run takes — dataset generation, GH histogram builds, the pure GH combine
+// of the two built histograms (the paper's O(cells) estimation step), the
+// guarded estimate end to end (which validates and builds both histograms
+// again before it combines), and the exact plane-sweep join that grounds
+// it. Each phase is timed with a ScopedTimer reporting into a
+// pipeline.*_us metrics histogram, and the emitted BENCH_pipeline.json
+// embeds the whole metrics snapshot, so the per-phase wall clock and the
+// engine's own counters (hist.gh.builds, join.plane_sweep.pairs,
+// estimator.answered.*) come from one instrumented run rather than
+// separate stopwatches.
 //
 // `--smoke` shrinks the inputs and is the ctest `pipeline_smoke` entry
 // point.
@@ -40,6 +43,7 @@ int Run(bool smoke) {
 
   PhaseRow gen_row{"pipeline/gen"};
   PhaseRow build_row{"pipeline/gh_build"};
+  PhaseRow combine_row{"pipeline/combine"};
   PhaseRow estimate_row{"pipeline/estimate"};
   PhaseRow join_row{"pipeline/exact_join"};
 
@@ -57,16 +61,34 @@ int Run(bool smoke) {
 
   Rect extent = a.ComputeExtent();
   extent.Extend(b.ComputeExtent());
+  Result<GhHistogram> ha = Status::Internal("not built");
+  Result<GhHistogram> hb = Status::Internal("not built");
   {
     ScopedTimer t(bench::BenchHistogram("pipeline.build_us"));
-    const auto ha = GhHistogram::Build(a, extent, kLevel);
-    const auto hb = GhHistogram::Build(b, extent, kLevel);
+    ha = GhHistogram::Build(a, extent, kLevel);
+    hb = GhHistogram::Build(b, extent, kLevel);
     if (!ha.ok() || !hb.ok()) {
       std::fprintf(stderr, "histogram build failed\n");
       return 1;
     }
     build_row.micros = static_cast<double>(t.ElapsedMicros());
     build_row.items = a.size() + b.size();
+  }
+
+  // Normalized per grid cell, not per rect: the combine is one pass over
+  // the cells and never touches a rect.
+  double combined_pairs = 0.0;
+  {
+    ScopedTimer t(bench::BenchHistogram("pipeline.combine_us"));
+    const auto pairs = EstimateGhJoinPairs(*ha, *hb);
+    if (!pairs.ok()) {
+      std::fprintf(stderr, "combine failed: %s\n",
+                   pairs.status().ToString().c_str());
+      return 1;
+    }
+    combined_pairs = *pairs;
+    combine_row.micros = static_cast<double>(t.ElapsedMicros());
+    combine_row.items = static_cast<uint64_t>(ha->grid().num_cells());
   }
 
   double estimated_pairs = 0.0;
@@ -94,7 +116,8 @@ int Run(bool smoke) {
 
   std::printf("%-22s %12s %10s\n", "phase", "micros", "items");
   bench::BenchJsonWriter writer("pipeline");
-  for (const PhaseRow& row : {gen_row, build_row, estimate_row, join_row}) {
+  for (const PhaseRow& row :
+       {gen_row, build_row, combine_row, estimate_row, join_row}) {
     std::printf("%-22s %12.0f %10llu\n", row.name, row.micros,
                 static_cast<unsigned long long>(row.items));
     const double ns_per_op =
@@ -102,7 +125,9 @@ int Run(bool smoke) {
                        : row.micros * 1e3 / static_cast<double>(row.items);
     writer.Add(row.name, ns_per_op, 0.0, 1, row.items);
   }
-  std::printf("estimated pairs: %.1f  actual pairs: %llu\n", estimated_pairs,
+  std::printf("combined pairs: %.1f  estimated pairs: %.1f  actual pairs: "
+              "%llu\n",
+              combined_pairs, estimated_pairs,
               static_cast<unsigned long long>(actual_pairs));
 
   writer.AddMetadata("rects_per_side", std::to_string(n));

@@ -1,5 +1,6 @@
 #include "server/catalog.h"
 
+#include <cstring>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -7,6 +8,17 @@
 
 namespace sjsel {
 namespace server {
+namespace {
+
+std::array<uint64_t, 4> ExtentBits(const Rect& extent) {
+  const double coords[4] = {extent.min_x, extent.min_y, extent.max_x,
+                            extent.max_y};
+  std::array<uint64_t, 4> bits;
+  std::memcpy(bits.data(), coords, sizeof(coords));
+  return bits;
+}
+
+}  // namespace
 
 Result<std::shared_ptr<const Dataset>> ServerCatalog::GetDataset(
     const std::string& path) {
@@ -15,7 +27,7 @@ Result<std::shared_ptr<const Dataset>> ServerCatalog::GetDataset(
     const auto it = datasets_.find(path);
     if (it != datasets_.end()) {
       SJSEL_METRIC_INC("server.catalog.dataset_hits");
-      return it->second;
+      return it->second.dataset;
     }
   }
   SJSEL_METRIC_INC("server.catalog.dataset_misses");
@@ -26,9 +38,41 @@ Result<std::shared_ptr<const Dataset>> ServerCatalog::GetDataset(
   std::lock_guard<std::mutex> lock(mu_);
   // Two workers may race to load the same path; both get the same bytes,
   // so first-in wins and the loser's copy is dropped.
-  const auto [it, inserted] = datasets_.emplace(path, std::move(shared));
+  const auto [it, inserted] =
+      datasets_.emplace(path, DatasetEntry{std::move(shared), {}});
   (void)inserted;
-  return it->second;
+  return it->second.dataset;
+}
+
+Result<std::shared_ptr<const GhHistogram>> ServerCatalog::GetGhHistogram(
+    const std::string& path, const Rect& extent, int level) {
+  const GridKey key(ExtentBits(extent), level);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = datasets_.find(path);
+    if (it != datasets_.end()) {
+      const auto hist = it->second.gh.find(key);
+      if (hist != it->second.gh.end()) {
+        SJSEL_METRIC_INC("server.catalog.hist_hits");
+        return hist->second;
+      }
+    }
+  }
+  SJSEL_METRIC_INC("server.catalog.hist_misses");
+  std::shared_ptr<const Dataset> ds;
+  SJSEL_ASSIGN_OR_RETURN(ds, GetDataset(path));
+  SJSEL_TRACE_SPAN("server.catalog.build_histogram");
+  auto built = GhHistogram::Build(*ds, extent, level);
+  if (!built.ok()) return built.status();
+  std::shared_ptr<const GhHistogram> shared =
+      std::make_shared<const GhHistogram>(std::move(built).value());
+  std::lock_guard<std::mutex> lock(mu_);
+  // Cached only in the entry of the dataset it was built from, so it goes
+  // wherever that entry goes. Concurrent first builds of the same grid
+  // produce the same bits (Build is deterministic): first-in wins.
+  const auto it = datasets_.find(path);
+  if (it == datasets_.end() || it->second.dataset != ds) return shared;
+  return it->second.gh.emplace(key, std::move(shared)).first->second;
 }
 
 Result<EstimateResult> ServerCatalog::Estimate(const std::string& a,
@@ -95,6 +139,12 @@ ServerCatalog::CacheStats ServerCatalog::Stats() const {
   CacheStats stats;
   stats.datasets = datasets_.size();
   stats.estimates = estimates_.size();
+  for (const auto& [path, entry] : datasets_) {
+    stats.histograms += entry.gh.size();
+    for (const auto& [key, hist] : entry.gh) {
+      stats.histogram_bytes += hist->NominalBytes();
+    }
+  }
   stats.streams = streams_.size();
   for (const auto& [dir, ingest] : streams_) {
     if (ingest->poisoned()) ++stats.poisoned_streams;

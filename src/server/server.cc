@@ -550,6 +550,10 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
             JsonValue::Int(static_cast<long long>(cache.datasets)));
     out.Set("estimates_cached",
             JsonValue::Int(static_cast<long long>(cache.estimates)));
+    out.Set("histograms_cached",
+            JsonValue::Int(static_cast<long long>(cache.histograms)));
+    out.Set("histogram_bytes",
+            JsonValue::Int(static_cast<long long>(cache.histogram_bytes)));
     out.Set("streams_open",
             JsonValue::Int(static_cast<long long>(cache.streams)));
     out.Set("streams_poisoned",
@@ -698,15 +702,15 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
     }
     const auto ingest = catalog_.GetStream(req.stream);
     if (!ingest.ok()) return fail_status(ingest.status());
-    const auto b = catalog_.GetDataset(req.b);
-    if (!b.ok()) return fail_status(b.status());
     // Estimates are served from the immutable snapshot — a consistent
-    // (base + sealed deltas) view that concurrent Applies never mutate.
+    // (base + sealed deltas) view that concurrent Applies never mutate —
+    // combined with `b`'s histogram on the stream's grid, which the
+    // catalog builds once per (b, grid).
     const auto snap = (*ingest)->snapshot();
-    const auto bh = GhHistogram::Build(**b, snap->gh.grid().extent(),
-                                       snap->gh.grid().level());
+    const auto bh = catalog_.GetGhHistogram(
+        req.b, snap->gh.grid().extent(), snap->gh.grid().level());
     if (!bh.ok()) return fail_status(bh.status());
-    const auto pairs = EstimateGhJoinPairs(snap->gh, *bh);
+    const auto pairs = EstimateGhJoinPairs(snap->gh, **bh);
     if (!pairs.ok()) return fail_status(pairs.status());
     if (ShouldAudit()) {
       // The reference folds the not-yet-sealed active delta in, so the
@@ -715,7 +719,7 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
       SJSEL_TRACE_SPAN("server.audit");
       const auto full = (*ingest)->MaterializeState();
       if (full.ok()) {
-        const auto ref = EstimateGhJoinPairs((*full).gh, *bh);
+        const auto ref = EstimateGhJoinPairs((*full).gh, **bh);
         if (ref.ok()) {
           PublishAuditResult(req, "materialized", *pairs, *ref);
         } else {
@@ -726,7 +730,7 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
       }
     }
     const double n1 = static_cast<double>(snap->gh.dataset_size());
-    const double n2 = static_cast<double>((*b)->size());
+    const double n2 = static_cast<double>((*bh)->dataset_size());
     JsonValue out = JsonValue::Object();
     out.Set("estimated_pairs", JsonValue::Number(*pairs));
     out.Set("selectivity",

@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -348,6 +350,10 @@ TEST_F(ServerTest, HealthOpReportsServerState) {
   EXPECT_GE(result->Find("uptime_s")->number_value(), 0.0);
   EXPECT_GE(result->Find("datasets_cached")->number_value(), 2.0);
   EXPECT_GE(result->Find("estimates_cached")->number_value(), 1.0);
+  // `estimate` keeps its per-pair union-extent path; only stream_estimate
+  // fills the histogram cache.
+  EXPECT_EQ(result->Find("histograms_cached")->number_value(), 0.0);
+  EXPECT_EQ(result->Find("histogram_bytes")->number_value(), 0.0);
   EXPECT_EQ(result->Find("streams_open")->number_value(), 0.0);
   EXPECT_EQ(result->Find("streams_poisoned")->number_value(), 0.0);
 }
@@ -475,6 +481,40 @@ TEST_F(ServerTest, AuditRateOnePublishesAccuracyMetrics) {
 
 std::string SocketPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+// An empty stream directory under the test temp dir.
+std::string FreshStreamDir(const char* name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// An `ingest` line adding rects [begin, end) of `ds` and removing rect
+// begin - 1 (the previous batch's last add) when there is one. `init`
+// is spliced in verbatim, e.g. the extent and level of a first batch.
+std::string IngestLine(const std::string& dir, const Dataset& ds,
+                       size_t begin, size_t end, const std::string& init) {
+  const auto rect_json = [](const Rect& r) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "[%.17g,%.17g,%.17g,%.17g]", r.min_x,
+                  r.min_y, r.max_x, r.max_y);
+    return std::string(buf);
+  };
+  std::string adds;
+  for (size_t i = begin; i < end; ++i) {
+    if (i > begin) adds += ',';
+    adds += rect_json(ds[i]);
+  }
+  const std::string removes = begin > 0 ? rect_json(ds[begin - 1]) : "";
+  return R"({"op":"ingest","stream":")" + dir + R"(",)" + init +
+         R"("adds":[)" + adds + R"(],"removes":[)" + removes + "]}";
+}
+
+std::string StreamEstimateLine(const std::string& dir,
+                               const std::string& b) {
+  return R"({"op":"stream_estimate","stream":")" + dir + R"(","b":")" + b +
+         R"("})";
 }
 
 TEST_F(ServerTest, SocketRoundTripAndGracefulShutdown) {
@@ -673,6 +713,150 @@ TEST_F(ServerTest, IngestLifecycleOverHandleLine) {
   std::remove((dir + "/MANIFEST").c_str());
   std::remove((dir + "/base.2.gh").c_str());
   std::remove((dir + "/base.2.ph").c_str());
+}
+
+TEST_F(ServerTest, StreamEstimateBuildsTheDatasetHistogramOnce) {
+  const std::string dir = FreshStreamDir("server_stream_cache");
+  Server server(ServerOptions{});
+  const Dataset rects = MakeUniform("st", 60, 31);
+  auto b = Dataset::Load(b_path_);
+  ASSERT_TRUE(b.ok());
+  // Built outside any request, so it does not move hist.gh.builds.
+  const auto bh = GhHistogram::Build(*b, Rect(0, 0, 1, 1), 5);
+  ASSERT_TRUE(bh.ok());
+  const JsonValue init = Handle(
+      &server, IngestLine(dir, rects, 0, 10,
+                          R"("extent":[0,0,1,1],"level":5,"seal_every":1,)"));
+  ASSERT_TRUE(init.Find("ok")->bool_value()) << ErrorCode(init);
+
+  double builds = 0.0;
+  double last_pairs = -1.0;
+  for (size_t batch = 1; batch < 6; ++batch) {
+    for (int read = 0; read < 2; ++read) {
+      const double before = CounterValue(&server, "hist.gh.builds");
+      const JsonValue est = Handle(&server, StreamEstimateLine(dir, b_path_));
+      builds += CounterValue(&server, "hist.gh.builds") - before;
+      ASSERT_TRUE(est.Find("ok")->bool_value()) << ErrorCode(est);
+      const auto ingest = server.catalog().GetStream(dir);
+      ASSERT_TRUE(ingest.ok());
+      const auto snap = (*ingest)->snapshot();
+      const JsonValue* result = est.Find("result");
+      EXPECT_EQ(result->Find("snapshot_seq")->number_value(),
+                static_cast<double>(snap->seq));
+      EXPECT_EQ(result->Find("estimated_pairs")->number_value(),
+                EstimateGhJoinPairs(snap->gh, *bh).value());
+      last_pairs = result->Find("estimated_pairs")->number_value();
+    }
+    // seal_every=1: each batch seals, so the next read sees a new snapshot.
+    const JsonValue ingested = Handle(
+        &server, IngestLine(dir, rects, batch * 10, batch * 10 + 10, ""));
+    ASSERT_TRUE(ingested.Find("ok")->bool_value()) << ErrorCode(ingested);
+  }
+  EXPECT_EQ(builds, 1.0);
+  // The cache holds b's histogram, not an answer: the snapshot moved on.
+  const JsonValue est = Handle(&server, StreamEstimateLine(dir, b_path_));
+  ASSERT_TRUE(est.Find("ok")->bool_value());
+  EXPECT_NE(est.Find("result")->Find("estimated_pairs")->number_value(),
+            last_pairs);
+
+  const JsonValue health = Handle(&server, R"({"op":"health"})");
+  const JsonValue* result = health.Find("result");
+  EXPECT_EQ(result->Find("histograms_cached")->number_value(), 1.0);
+  EXPECT_EQ(result->Find("histogram_bytes")->number_value(),
+            static_cast<double>((*bh).NominalBytes()));
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ServerTest, StreamsOnTwoGridsCacheTwoHistogramsOfOneDataset) {
+  const std::string coarse = FreshStreamDir("server_stream_l4");
+  const std::string fine = FreshStreamDir("server_stream_l6");
+  Server server(ServerOptions{});
+  const Dataset rects = MakeUniform("st", 40, 32);
+  auto b = Dataset::Load(b_path_);
+  ASSERT_TRUE(b.ok());
+  const double hits = CounterValue(&server, "server.catalog.hist_hits");
+  const double misses = CounterValue(&server, "server.catalog.hist_misses");
+  uint64_t bytes = 0;
+  for (const auto& [dir, level] : {std::pair<std::string, int>(coarse, 4),
+                                   std::pair<std::string, int>(fine, 6)}) {
+    const JsonValue init = Handle(
+        &server, IngestLine(dir, rects, 0, 40,
+                            R"("extent":[0,0,1,1],"level":)" +
+                                std::to_string(level) +
+                                R"(,"seal_every":1,)"));
+    ASSERT_TRUE(init.Find("ok")->bool_value()) << ErrorCode(init);
+    const auto bh = GhHistogram::Build(*b, Rect(0, 0, 1, 1), level);
+    ASSERT_TRUE(bh.ok());
+    bytes += (*bh).NominalBytes();
+    const auto ingest = server.catalog().GetStream(dir);
+    ASSERT_TRUE(ingest.ok());
+    const double expected =
+        EstimateGhJoinPairs((*ingest)->snapshot()->gh, *bh).value();
+    // The second read of each grid is a cache hit with the same answer.
+    for (int read = 0; read < 2; ++read) {
+      const JsonValue est = Handle(&server, StreamEstimateLine(dir, b_path_));
+      ASSERT_TRUE(est.Find("ok")->bool_value()) << ErrorCode(est);
+      EXPECT_EQ(est.Find("result")->Find("estimated_pairs")->number_value(),
+                expected)
+          << "level " << level;
+    }
+  }
+  const JsonValue health = Handle(&server, R"({"op":"health"})");
+  const JsonValue* result = health.Find("result");
+  EXPECT_EQ(result->Find("histograms_cached")->number_value(), 2.0);
+  EXPECT_EQ(result->Find("histogram_bytes")->number_value(),
+            static_cast<double>(bytes));
+  EXPECT_EQ(CounterValue(&server, "server.catalog.hist_misses") - misses,
+            2.0);
+  EXPECT_EQ(CounterValue(&server, "server.catalog.hist_hits") - hits, 2.0);
+  std::filesystem::remove_all(coarse);
+  std::filesystem::remove_all(fine);
+}
+
+TEST_F(ServerTest, ConcurrentFirstStreamEstimatesShareOneHistogram) {
+  const std::string dir = FreshStreamDir("server_stream_mt");
+  ServerOptions options;
+  options.socket_path = SocketPath("sjsel_stream_mt.sock");
+  options.workers = 4;
+  Server server(options);
+  const Dataset rects = MakeUniform("st", 50, 33);
+  const JsonValue init = Handle(
+      &server, IngestLine(dir, rects, 0, 50,
+                          R"("extent":[0,0,1,1],"level":6,"seal_every":1,)"));
+  ASSERT_TRUE(init.Find("ok")->bool_value()) << ErrorCode(init);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 4;
+  std::vector<std::string> responses(kClients);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      Client client;
+      if (!client.Connect(options.socket_path).ok()) return;
+      const auto response = client.Call(StreamEstimateLine(dir, b_path_));
+      if (response.ok()) responses[t] = *response;
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  auto b = Dataset::Load(b_path_);
+  ASSERT_TRUE(b.ok());
+  const auto bh = GhHistogram::Build(*b, Rect(0, 0, 1, 1), 6);
+  ASSERT_TRUE(bh.ok());
+  const auto ingest = server.catalog().GetStream(dir);
+  ASSERT_TRUE(ingest.ok());
+  const double expected =
+      EstimateGhJoinPairs((*ingest)->snapshot()->gh, *bh).value();
+  for (const std::string& response : responses) {
+    auto parsed = JsonValue::Parse(response);
+    ASSERT_TRUE(parsed.ok()) << response;
+    ASSERT_TRUE(parsed->Find("ok")->bool_value()) << response;
+    EXPECT_EQ(parsed->Find("result")->Find("estimated_pairs")->number_value(),
+              expected);
+  }
+  EXPECT_EQ(server.catalog().Stats().histograms, 1u);
+  server.Stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ServerTest, ConnectWithRetryWaitsOutServerStartup) {
