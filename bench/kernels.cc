@@ -12,12 +12,11 @@
 //   pbsm/*              PbsmJoinCount, uniform x clustered
 //   sample_filter/*     EstimateBySampling with the plane-sweep sample join
 //
-// Every SIMD backend the machine supports gets its own row
-// (batch_avx2/batch_avx512, or /avx2 and /avx512 for the joins); the
-// batch_simd and /simd rows alias the best available backend so the
-// drift baselines stay portable across machines with different vector
-// extensions. `--smoke` shrinks the inputs and runs one rep per row —
-// the ctest `bench_smoke` entry point. A backend mismatch exits non-zero.
+// The AVX2 backend, where the machine has it, gets its own row
+// (batch_avx2, or /avx2 for the joins); the batch_simd and /simd rows
+// alias it so the drift baselines stay portable across machines with
+// different vector extensions. `--smoke` shrinks the inputs and runs one
+// rep per row — the ctest `bench_smoke` entry point. A backend mismatch exits non-zero.
 
 #include <cstdio>
 #include <cstdlib>
@@ -68,15 +67,10 @@ void PrintEntry(const std::string& name, double ns, double speedup) {
   std::printf("%-28s  %10.2f ns/op  %6.2fx\n", name.c_str(), ns, speedup);
 }
 
-// The SIMD backends this machine can actually run, in ascending width —
-// the last one is what detection would pick.
+// The SIMD backend this machine can run, if any — what detection picks.
 std::vector<KernelBackend> SimdBackends() {
-  std::vector<KernelBackend> backends;
-  for (const KernelBackend b :
-       {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
-    if (KernelBackendAvailable(b)) backends.push_back(b);
-  }
-  return backends;
+  if (!KernelBackendAvailable(KernelBackend::kAvx2)) return {};
+  return {KernelBackend::kAvx2};
 }
 
 bool SameGh(const GhHistogram& a, const GhHistogram& b) {
@@ -152,10 +146,10 @@ int main(int argc, char** argv) {
       if (smoke && pass != 0 && !last) continue;
       const KernelBackend backend =
           pass == 0 ? KernelBackend::kScalar : simd[pass - 1];
-      SetKernelBackendForTesting(backend);
+      SetKernelBackendOverride(backend);
       const double t = TimeBest(fn);
       verify();
-      ClearKernelBackendOverrideForTesting();
+      ClearKernelBackendOverride();
       if (pass == 0 && t_base <= 0.0) t_base = t;
       if (!smoke || pass == 0) {
         const std::string row =
@@ -164,8 +158,8 @@ int main(int argc, char** argv) {
         json.Add(row, NsPerOp(t, n), t_base / t, 1, n,
                  KernelBackendName(backend));
       }
-      // "Best" = the widest available backend, matching what detection
-      // dispatches to when nothing forces a narrower one.
+      // "Best" = the last pass, the backend detection dispatches to when
+      // nothing forces another.
       t_best = t;
       best_name = KernelBackendName(backend);
     }
@@ -293,9 +287,9 @@ int main(int argc, char** argv) {
 
   // --- Join filters: plane sweep and PBSM, scalar vs every SIMD backend.
   const auto join_rows = [&](const char* name, auto&& count_fn) {
-    SetKernelBackendForTesting(KernelBackend::kScalar);
+    SetKernelBackendOverride(KernelBackend::kScalar);
     const uint64_t reference = count_fn();
-    ClearKernelBackendOverrideForTesting();
+    ClearKernelBackendOverride();
     // The O(1) count compare stays in `fn`: the count IS the measured work.
     backend_rows(
         name, "", 0.0,

@@ -135,10 +135,10 @@ int main(int argc, char** argv) {
   std::vector<size_t> build_sizes{base_n};
   if (!smoke) build_sizes.push_back(1000000);
 
-  // Backend dimension for the build rows: forced scalar plus the best
-  // available SIMD backend under the portable "simd" label (the alias the
-  // kernels bench uses too, so baselines survive machines with different
-  // vector extensions). Smoke keeps only "simd" — one portable row set.
+  // Backend dimension for the build rows: forced scalar plus the detected
+  // backend under the portable "simd" label (the alias the kernels bench
+  // uses too, so baselines survive machines with different vector
+  // extensions). Smoke keeps only "simd" — one portable row set.
   std::vector<std::pair<const char*, KernelBackend>> backends;
   if (!smoke) backends.emplace_back("scalar", KernelBackend::kScalar);
   backends.emplace_back("simd", DetectKernelBackend());
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
     const Dataset& gh_input = n == base_n ? uniform : gh_gen;
     const Dataset& ph_input = n == base_n ? clustered : ph_gen;
     for (const auto& [backend_name, backend] : backends) {
-      SetKernelBackendForTesting(backend);
+      SetKernelBackendOverride(backend);
       const std::string tag =
           std::string("/") + backend_name + "/n" + std::to_string(n);
 
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
         all_identical = all_identical && row.identical;
       }
 
-      ClearKernelBackendOverrideForTesting();
+      ClearKernelBackendOverride();
     }
   }
 

@@ -226,7 +226,7 @@ int Usage(std::FILE* err) {
                "   --fa, --fb, --seed, --method, --validate)\n"
                "\n"
                "global flags:\n"
-               "  --kernel-backend=scalar|avx2|avx512\n"
+               "  --kernel-backend=scalar|avx2\n"
                "      force every batch kernel onto one backend (results\n"
                "      are bit-identical; errors if the CPU lacks it)\n"
                "  --inject-faults=<site>=<trigger>[,...]\n"
@@ -1462,16 +1462,16 @@ int RunCli(const std::vector<std::string>& args, std::FILE* out,
 
   // Global kernel-backend forcing, scoped to this invocation: every batch
   // kernel (histogram builds, join filters, sample join) dispatches to the
-  // named backend. CI's forced-backend drill and A/B timing both ride on
-  // this; an unavailable backend is a usage error, not a crash later.
+  // named backend, for A/B timing and for checking bit-identity from the
+  // command line (CI's forced-backend drill uses SJSEL_KERNEL_BACKEND
+  // instead); an unavailable backend is a usage error, not a crash later.
   bool backend_forced = false;
   if (parsed.Has("kernel-backend")) {
     const std::string name = parsed.Flag("kernel-backend", "");
     KernelBackend backend = KernelBackend::kScalar;
     if (!ParseKernelBackend(name, &backend)) {
       std::fprintf(err,
-                   "bad --kernel-backend: '%s' "
-                   "(want scalar|avx2|avx512)\n",
+                   "bad --kernel-backend: '%s' (want scalar|avx2)\n",
                    name.c_str());
       return 2;
     }

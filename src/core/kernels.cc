@@ -21,7 +21,6 @@ std::atomic<int> g_backend_override{-1};
 
 KernelBackend ProbeBackend() {
 #if SJSEL_KERNELS_X86
-  if (__builtin_cpu_supports("avx512f")) return KernelBackend::kAvx512;
   if (__builtin_cpu_supports("avx2")) return KernelBackend::kAvx2;
 #endif
   return KernelBackend::kScalar;
@@ -38,7 +37,7 @@ int EnvBackendOverride() {
     if (!ParseKernelBackend(env, &backend)) {
       std::fprintf(stderr,
                    "sjsel: ignoring unknown SJSEL_KERNEL_BACKEND '%s' "
-                   "(want scalar|avx2|avx512)\n",
+                   "(want scalar|avx2)\n",
                    env);
       return -1;
     }
@@ -77,38 +76,6 @@ void CellRangeBatchScalar(const GridGeom& g, const SoaSlice& rects,
     y0[i] = CellCoordScalar(rects.min_y[i], g.min_y, g.cell_h, g.per_axis);
     x1[i] = CellCoordScalar(rects.max_x[i], g.min_x, g.cell_w, g.per_axis);
     y1[i] = CellCoordScalar(rects.max_y[i], g.min_y, g.cell_h, g.per_axis);
-  }
-}
-
-void GhSingleCellTermsBatchScalar(const GridGeom& gg, const SoaSlice& rects,
-                                  const int32_t* x0, const int32_t* y0,
-                                  double* out_area, double* out_h,
-                                  double* out_v) {
-  const GridGeom g = gg;  // see GhRectTermsBatchScalar: defeat aliasing reloads
-  const double cell_area = g.cell_w * g.cell_h;
-  for (std::size_t i = 0; i < rects.size; ++i) {
-    const double cell_lo_x = g.min_x + x0[i] * g.cell_w;
-    const double cell_hi_x = g.min_x + (x0[i] + 1) * g.cell_w;
-    const double cell_lo_y = g.min_y + y0[i] * g.cell_h;
-    const double cell_hi_y = g.min_y + (y0[i] + 1) * g.cell_h;
-    const double w =
-        OverlapLen(rects.min_x[i], rects.max_x[i], cell_lo_x, cell_hi_x);
-    const double h =
-        OverlapLen(rects.min_y[i], rects.max_y[i], cell_lo_y, cell_hi_y);
-    out_area[i] = (w * h) / cell_area;
-    out_h[i] = w / g.cell_w;
-    out_v[i] = h / g.cell_h;
-  }
-}
-
-void PhContainedTermsBatchScalar(const SoaSlice& rects, double* out_area,
-                                 double* out_w, double* out_h) {
-  for (std::size_t i = 0; i < rects.size; ++i) {
-    const double w = rects.max_x[i] - rects.min_x[i];
-    const double h = rects.max_y[i] - rects.min_y[i];
-    out_w[i] = w;
-    out_h[i] = h;
-    out_area[i] = w * h;
   }
 }
 
@@ -316,63 +283,6 @@ __attribute__((target("avx2"))) inline __m256d OverlapLenAvx2(__m256d lo,
   return _mm256_max_pd(d, _mm256_setzero_pd());       // std::max(0.0, d)
 }
 
-__attribute__((target("avx2"))) void GhSingleCellTermsBatchAvx2(
-    const GridGeom& g, const SoaSlice& rects, const int32_t* x0,
-    const int32_t* y0, double* out_area, double* out_h, double* out_v) {
-  const __m256d ox = _mm256_set1_pd(g.min_x);
-  const __m256d oy = _mm256_set1_pd(g.min_y);
-  const __m256d cw = _mm256_set1_pd(g.cell_w);
-  const __m256d ch = _mm256_set1_pd(g.cell_h);
-  const __m256d cell_area = _mm256_set1_pd(g.cell_w * g.cell_h);
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= rects.size; i += 4) {
-    const __m256d x0d = _mm256_cvtepi32_pd(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x0 + i)));
-    const __m256d y0d = _mm256_cvtepi32_pd(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(y0 + i)));
-    const __m256d cell_lo_x = _mm256_add_pd(ox, _mm256_mul_pd(x0d, cw));
-    const __m256d cell_hi_x =
-        _mm256_add_pd(ox, _mm256_mul_pd(_mm256_add_pd(x0d, one), cw));
-    const __m256d cell_lo_y = _mm256_add_pd(oy, _mm256_mul_pd(y0d, ch));
-    const __m256d cell_hi_y =
-        _mm256_add_pd(oy, _mm256_mul_pd(_mm256_add_pd(y0d, one), ch));
-    const __m256d w =
-        OverlapLenAvx2(_mm256_loadu_pd(rects.min_x + i),
-                       _mm256_loadu_pd(rects.max_x + i), cell_lo_x, cell_hi_x);
-    const __m256d h =
-        OverlapLenAvx2(_mm256_loadu_pd(rects.min_y + i),
-                       _mm256_loadu_pd(rects.max_y + i), cell_lo_y, cell_hi_y);
-    _mm256_storeu_pd(out_area + i,
-                     _mm256_div_pd(_mm256_mul_pd(w, h), cell_area));
-    _mm256_storeu_pd(out_h + i, _mm256_div_pd(w, cw));
-    _mm256_storeu_pd(out_v + i, _mm256_div_pd(h, ch));
-  }
-  if (i < rects.size) {
-    const SoaSlice tail = rects.Sub(i, rects.size - i);
-    GhSingleCellTermsBatchScalar(g, tail, x0 + i, y0 + i, out_area + i,
-                                 out_h + i, out_v + i);
-  }
-}
-
-__attribute__((target("avx2"))) void PhContainedTermsBatchAvx2(
-    const SoaSlice& rects, double* out_area, double* out_w, double* out_h) {
-  std::size_t i = 0;
-  for (; i + 4 <= rects.size; i += 4) {
-    const __m256d w = _mm256_sub_pd(_mm256_loadu_pd(rects.max_x + i),
-                                    _mm256_loadu_pd(rects.min_x + i));
-    const __m256d h = _mm256_sub_pd(_mm256_loadu_pd(rects.max_y + i),
-                                    _mm256_loadu_pd(rects.min_y + i));
-    _mm256_storeu_pd(out_w + i, w);
-    _mm256_storeu_pd(out_h + i, h);
-    _mm256_storeu_pd(out_area + i, _mm256_mul_pd(w, h));
-  }
-  if (i < rects.size) {
-    const SoaSlice tail = rects.Sub(i, rects.size - i);
-    PhContainedTermsBatchScalar(tail, out_area + i, out_w + i, out_h + i);
-  }
-}
-
 __attribute__((target("avx2"))) void GhEntryTermsBatchAvx2(
     const GridGeom& g, std::size_t n, const double* w, const double* h,
     double* out_area, double* out_hf, double* out_vf) {
@@ -557,307 +467,6 @@ __attribute__((target("avx2"))) std::size_t SortedPrefixLeqAvx2(
   return k - begin + SortedPrefixLeqScalar(keys, k, end, bound);
 }
 
-// ---------------------------------------------------------------------------
-// AVX-512F backends, 8 double lanes per iteration. Same bit-identity
-// discipline as AVX2: swapped min/max operand order (the 512-bit vminpd /
-// vmaxpd keep the "return the SECOND operand on ties" semantics), floor
-// via roundscale-to-neg-inf (exact), no FMA contraction, compare results
-// consumed as mask registers so lane order is explicit.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx512f"))) inline __m256i CellCoordAvx512(
-    const double* v, __m512d origin, __m512d cell, __m512d hi_clamp) {
-  const __m512d t =
-      _mm512_div_pd(_mm512_sub_pd(_mm512_loadu_pd(v), origin), cell);
-  __m512d f = _mm512_roundscale_pd(
-      t, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);  // floor, exact
-  f = _mm512_max_pd(f, _mm512_setzero_pd());
-  f = _mm512_min_pd(f, hi_clamp);
-  return _mm512_cvttpd_epi32(f);
-}
-
-__attribute__((target("avx512f"))) void CellRangeBatchAvx512(
-    const GridGeom& g, const SoaSlice& rects, int32_t* x0, int32_t* y0,
-    int32_t* x1, int32_t* y1) {
-  const __m512d ox = _mm512_set1_pd(g.min_x);
-  const __m512d oy = _mm512_set1_pd(g.min_y);
-  const __m512d cw = _mm512_set1_pd(g.cell_w);
-  const __m512d ch = _mm512_set1_pd(g.cell_h);
-  const __m512d hi = _mm512_set1_pd(static_cast<double>(g.per_axis - 1));
-  std::size_t i = 0;
-  for (; i + 8 <= rects.size; i += 8) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x0 + i),
-                        CellCoordAvx512(rects.min_x + i, ox, cw, hi));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(y0 + i),
-                        CellCoordAvx512(rects.min_y + i, oy, ch, hi));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x1 + i),
-                        CellCoordAvx512(rects.max_x + i, ox, cw, hi));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(y1 + i),
-                        CellCoordAvx512(rects.max_y + i, oy, ch, hi));
-  }
-  for (; i < rects.size; ++i) {
-    x0[i] = CellCoordScalar(rects.min_x[i], g.min_x, g.cell_w, g.per_axis);
-    y0[i] = CellCoordScalar(rects.min_y[i], g.min_y, g.cell_h, g.per_axis);
-    x1[i] = CellCoordScalar(rects.max_x[i], g.min_x, g.cell_w, g.per_axis);
-    y1[i] = CellCoordScalar(rects.max_y[i], g.min_y, g.cell_h, g.per_axis);
-  }
-}
-
-__attribute__((target("avx512f"))) inline __m512d OverlapLenAvx512(
-    __m512d lo, __m512d hi, __m512d cell_lo, __m512d cell_hi) {
-  const __m512d top = _mm512_min_pd(cell_hi, hi);     // std::min(hi, cell_hi)
-  const __m512d bot = _mm512_max_pd(cell_lo, lo);     // std::max(lo, cell_lo)
-  const __m512d d = _mm512_sub_pd(top, bot);
-  return _mm512_max_pd(d, _mm512_setzero_pd());       // std::max(0.0, d)
-}
-
-__attribute__((target("avx512f"))) void GhSingleCellTermsBatchAvx512(
-    const GridGeom& g, const SoaSlice& rects, const int32_t* x0,
-    const int32_t* y0, double* out_area, double* out_h, double* out_v) {
-  const __m512d ox = _mm512_set1_pd(g.min_x);
-  const __m512d oy = _mm512_set1_pd(g.min_y);
-  const __m512d cw = _mm512_set1_pd(g.cell_w);
-  const __m512d ch = _mm512_set1_pd(g.cell_h);
-  const __m512d cell_area = _mm512_set1_pd(g.cell_w * g.cell_h);
-  const __m512d one = _mm512_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 8 <= rects.size; i += 8) {
-    const __m512d x0d = _mm512_cvtepi32_pd(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x0 + i)));
-    const __m512d y0d = _mm512_cvtepi32_pd(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y0 + i)));
-    const __m512d cell_lo_x = _mm512_add_pd(ox, _mm512_mul_pd(x0d, cw));
-    const __m512d cell_hi_x =
-        _mm512_add_pd(ox, _mm512_mul_pd(_mm512_add_pd(x0d, one), cw));
-    const __m512d cell_lo_y = _mm512_add_pd(oy, _mm512_mul_pd(y0d, ch));
-    const __m512d cell_hi_y =
-        _mm512_add_pd(oy, _mm512_mul_pd(_mm512_add_pd(y0d, one), ch));
-    const __m512d w = OverlapLenAvx512(_mm512_loadu_pd(rects.min_x + i),
-                                       _mm512_loadu_pd(rects.max_x + i),
-                                       cell_lo_x, cell_hi_x);
-    const __m512d h = OverlapLenAvx512(_mm512_loadu_pd(rects.min_y + i),
-                                       _mm512_loadu_pd(rects.max_y + i),
-                                       cell_lo_y, cell_hi_y);
-    _mm512_storeu_pd(out_area + i,
-                     _mm512_div_pd(_mm512_mul_pd(w, h), cell_area));
-    _mm512_storeu_pd(out_h + i, _mm512_div_pd(w, cw));
-    _mm512_storeu_pd(out_v + i, _mm512_div_pd(h, ch));
-  }
-  if (i < rects.size) {
-    const SoaSlice tail = rects.Sub(i, rects.size - i);
-    GhSingleCellTermsBatchScalar(g, tail, x0 + i, y0 + i, out_area + i,
-                                 out_h + i, out_v + i);
-  }
-}
-
-__attribute__((target("avx512f"))) void PhContainedTermsBatchAvx512(
-    const SoaSlice& rects, double* out_area, double* out_w, double* out_h) {
-  std::size_t i = 0;
-  for (; i + 8 <= rects.size; i += 8) {
-    const __m512d w = _mm512_sub_pd(_mm512_loadu_pd(rects.max_x + i),
-                                    _mm512_loadu_pd(rects.min_x + i));
-    const __m512d h = _mm512_sub_pd(_mm512_loadu_pd(rects.max_y + i),
-                                    _mm512_loadu_pd(rects.min_y + i));
-    _mm512_storeu_pd(out_w + i, w);
-    _mm512_storeu_pd(out_h + i, h);
-    _mm512_storeu_pd(out_area + i, _mm512_mul_pd(w, h));
-  }
-  if (i < rects.size) {
-    const SoaSlice tail = rects.Sub(i, rects.size - i);
-    PhContainedTermsBatchScalar(tail, out_area + i, out_w + i, out_h + i);
-  }
-}
-
-__attribute__((target("avx512f"))) void GhEntryTermsBatchAvx512(
-    const GridGeom& g, std::size_t n, const double* w, const double* h,
-    double* out_area, double* out_hf, double* out_vf) {
-  const double cell_area = g.cell_w * g.cell_h;
-  const __m512d vca = _mm512_set1_pd(cell_area);
-  const __m512d vcw = _mm512_set1_pd(g.cell_w);
-  const __m512d vch = _mm512_set1_pd(g.cell_h);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d vw = _mm512_loadu_pd(w + i);
-    const __m512d vh = _mm512_loadu_pd(h + i);
-    _mm512_storeu_pd(out_area + i,
-                     _mm512_div_pd(_mm512_mul_pd(vw, vh), vca));
-    _mm512_storeu_pd(out_hf + i, _mm512_div_pd(vw, vcw));
-    _mm512_storeu_pd(out_vf + i, _mm512_div_pd(vh, vch));
-  }
-  if (i < n) {
-    GhEntryTermsBatchScalar(g, n - i, w + i, h + i, out_area + i, out_hf + i,
-                            out_vf + i);
-  }
-}
-
-// Loads 8 consecutive Rects (32 contiguous doubles) and transposes them
-// into SoA lanes: 4 full-width loads, then a two-level permute — first
-// vpermt2pd gathers the min (max) pairs of each 2-rect load, then a
-// 128-bit-lane shuffle splits coordinates apart.
-__attribute__((target("avx512f"))) inline void LoadRects8Avx512(
-    const Rect* rects, __m512d* minx, __m512d* miny, __m512d* maxx,
-    __m512d* maxy) {
-  const double* p = reinterpret_cast<const double*>(rects);
-  const __m512d z0 = _mm512_loadu_pd(p);       // rects 0-1
-  const __m512d z1 = _mm512_loadu_pd(p + 8);   // rects 2-3
-  const __m512d z2 = _mm512_loadu_pd(p + 16);  // rects 4-5
-  const __m512d z3 = _mm512_loadu_pd(p + 24);  // rects 6-7
-  const __m512i mins_idx = _mm512_setr_epi64(0, 4, 8, 12, 1, 5, 9, 13);
-  const __m512i maxs_idx = _mm512_setr_epi64(2, 6, 10, 14, 3, 7, 11, 15);
-  const __m512d mins01 = _mm512_permutex2var_pd(z0, mins_idx, z1);
-  const __m512d mins23 = _mm512_permutex2var_pd(z2, mins_idx, z3);
-  const __m512d maxs01 = _mm512_permutex2var_pd(z0, maxs_idx, z1);
-  const __m512d maxs23 = _mm512_permutex2var_pd(z2, maxs_idx, z3);
-  *minx = _mm512_shuffle_f64x2(mins01, mins23, 0x44);
-  *miny = _mm512_shuffle_f64x2(mins01, mins23, 0xEE);
-  *maxx = _mm512_shuffle_f64x2(maxs01, maxs23, 0x44);
-  *maxy = _mm512_shuffle_f64x2(maxs01, maxs23, 0xEE);
-}
-
-// CellCoordAvx512 on a register input, keeping the clamped floor in the
-// double domain for the cell-bound arithmetic.
-__attribute__((target("avx512f"))) inline __m512d CellCoordKeepAvx512(
-    __m512d v, __m512d origin, __m512d cell, __m512d hi_clamp,
-    int32_t* out) {
-  const __m512d t = _mm512_div_pd(_mm512_sub_pd(v, origin), cell);
-  __m512d f = _mm512_roundscale_pd(
-      t, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);  // floor, exact
-  f = _mm512_max_pd(f, _mm512_setzero_pd());
-  f = _mm512_min_pd(f, hi_clamp);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
-                      _mm512_cvttpd_epi32(f));
-  return f;
-}
-
-__attribute__((target("avx512f"))) void GhRectTermsBatchAvx512(
-    const GridGeom& g, const Rect* rects, std::size_t n,
-    const GhRectTermsOut& o) {
-  const __m512d ox = _mm512_set1_pd(g.min_x);
-  const __m512d oy = _mm512_set1_pd(g.min_y);
-  const __m512d cw = _mm512_set1_pd(g.cell_w);
-  const __m512d ch = _mm512_set1_pd(g.cell_h);
-  const __m512d hi = _mm512_set1_pd(static_cast<double>(g.per_axis - 1));
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d cell_area = _mm512_set1_pd(g.cell_w * g.cell_h);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512d minx, miny, maxx, maxy;
-    LoadRects8Avx512(rects + i, &minx, &miny, &maxx, &maxy);
-    const __m512d x0d = CellCoordKeepAvx512(minx, ox, cw, hi, o.x0 + i);
-    const __m512d y0d = CellCoordKeepAvx512(miny, oy, ch, hi, o.y0 + i);
-    CellCoordKeepAvx512(maxx, ox, cw, hi, o.x1 + i);
-    CellCoordKeepAvx512(maxy, oy, ch, hi, o.y1 + i);
-    const __m512d x0p1 = _mm512_add_pd(x0d, one);
-    const __m512d y0p1 = _mm512_add_pd(y0d, one);
-    const __m512d col_lo = _mm512_add_pd(ox, _mm512_mul_pd(x0d, cw));
-    const __m512d col_mid = _mm512_add_pd(ox, _mm512_mul_pd(x0p1, cw));
-    const __m512d col_hi =
-        _mm512_add_pd(ox, _mm512_mul_pd(_mm512_add_pd(x0p1, one), cw));
-    const __m512d row_lo = _mm512_add_pd(oy, _mm512_mul_pd(y0d, ch));
-    const __m512d row_mid = _mm512_add_pd(oy, _mm512_mul_pd(y0p1, ch));
-    const __m512d row_hi =
-        _mm512_add_pd(oy, _mm512_mul_pd(_mm512_add_pd(y0p1, one), ch));
-    const __m512d w0 = OverlapLenAvx512(minx, maxx, col_lo, col_mid);
-    const __m512d w1 = OverlapLenAvx512(minx, maxx, col_mid, col_hi);
-    const __m512d h0 = OverlapLenAvx512(miny, maxy, row_lo, row_mid);
-    const __m512d h1 = OverlapLenAvx512(miny, maxy, row_mid, row_hi);
-    _mm512_storeu_pd(o.a00 + i,
-                     _mm512_div_pd(_mm512_mul_pd(w0, h0), cell_area));
-    _mm512_storeu_pd(o.a01 + i,
-                     _mm512_div_pd(_mm512_mul_pd(w0, h1), cell_area));
-    _mm512_storeu_pd(o.a10 + i,
-                     _mm512_div_pd(_mm512_mul_pd(w1, h0), cell_area));
-    _mm512_storeu_pd(o.a11 + i,
-                     _mm512_div_pd(_mm512_mul_pd(w1, h1), cell_area));
-    _mm512_storeu_pd(o.hf0 + i, _mm512_div_pd(w0, cw));
-    _mm512_storeu_pd(o.hf1 + i, _mm512_div_pd(w1, cw));
-    _mm512_storeu_pd(o.vf0 + i, _mm512_div_pd(h0, ch));
-    _mm512_storeu_pd(o.vf1 + i, _mm512_div_pd(h1, ch));
-  }
-  if (i < n) GhRectTermsBatchScalar(g, rects + i, n - i, Advance(o, i));
-}
-
-__attribute__((target("avx512f"))) void PhRectClipBatchAvx512(
-    const GridGeom& g, const Rect* rects, std::size_t n,
-    const PhRectClipOut& o) {
-  const __m512d ox = _mm512_set1_pd(g.min_x);
-  const __m512d oy = _mm512_set1_pd(g.min_y);
-  const __m512d cw = _mm512_set1_pd(g.cell_w);
-  const __m512d ch = _mm512_set1_pd(g.cell_h);
-  const __m512d hi = _mm512_set1_pd(static_cast<double>(g.per_axis - 1));
-  const __m512d one = _mm512_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512d minx, miny, maxx, maxy;
-    LoadRects8Avx512(rects + i, &minx, &miny, &maxx, &maxy);
-    const __m512d x0d = CellCoordKeepAvx512(minx, ox, cw, hi, o.x0 + i);
-    const __m512d y0d = CellCoordKeepAvx512(miny, oy, ch, hi, o.y0 + i);
-    CellCoordKeepAvx512(maxx, ox, cw, hi, o.x1 + i);
-    CellCoordKeepAvx512(maxy, oy, ch, hi, o.y1 + i);
-    const __m512d x0p1 = _mm512_add_pd(x0d, one);
-    const __m512d y0p1 = _mm512_add_pd(y0d, one);
-    const __m512d col_lo = _mm512_add_pd(ox, _mm512_mul_pd(x0d, cw));
-    const __m512d col_mid = _mm512_add_pd(ox, _mm512_mul_pd(x0p1, cw));
-    const __m512d col_hi =
-        _mm512_add_pd(ox, _mm512_mul_pd(_mm512_add_pd(x0p1, one), cw));
-    const __m512d row_lo = _mm512_add_pd(oy, _mm512_mul_pd(y0d, ch));
-    const __m512d row_mid = _mm512_add_pd(oy, _mm512_mul_pd(y0p1, ch));
-    const __m512d row_hi =
-        _mm512_add_pd(oy, _mm512_mul_pd(_mm512_add_pd(y0p1, one), ch));
-    _mm512_storeu_pd(o.w0 + i,
-                     OverlapLenAvx512(minx, maxx, col_lo, col_mid));
-    _mm512_storeu_pd(o.w1 + i,
-                     OverlapLenAvx512(minx, maxx, col_mid, col_hi));
-    _mm512_storeu_pd(o.h0 + i,
-                     OverlapLenAvx512(miny, maxy, row_lo, row_mid));
-    _mm512_storeu_pd(o.h1 + i,
-                     OverlapLenAvx512(miny, maxy, row_mid, row_hi));
-  }
-  if (i < n) PhRectClipBatchScalar(g, rects + i, n - i, Advance(o, i));
-}
-
-__attribute__((target("avx512f"))) uint64_t IntersectMask64Avx512(
-    const SoaSlice& rects, std::size_t begin, std::size_t n,
-    const Rect& probe) {
-  const __m512d p_min_x = _mm512_set1_pd(probe.min_x);
-  const __m512d p_min_y = _mm512_set1_pd(probe.min_y);
-  const __m512d p_max_x = _mm512_set1_pd(probe.max_x);
-  const __m512d p_max_y = _mm512_set1_pd(probe.max_y);
-  uint64_t mask = 0;
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const std::size_t i = begin + k;
-    const __mmask8 c0 = _mm512_cmp_pd_mask(
-        p_min_x, _mm512_loadu_pd(rects.max_x + i), _CMP_LE_OQ);
-    const __mmask8 c1 = _mm512_cmp_pd_mask(
-        _mm512_loadu_pd(rects.min_x + i), p_max_x, _CMP_LE_OQ);
-    const __mmask8 c2 = _mm512_cmp_pd_mask(
-        p_min_y, _mm512_loadu_pd(rects.max_y + i), _CMP_LE_OQ);
-    const __mmask8 c3 = _mm512_cmp_pd_mask(
-        _mm512_loadu_pd(rects.min_y + i), p_max_y, _CMP_LE_OQ);
-    const unsigned hit = static_cast<unsigned>(c0) & c1 & c2 & c3;
-    mask |= static_cast<uint64_t>(hit) << k;
-  }
-  if (k < n) {
-    mask |= IntersectMask64Scalar(rects, begin + k, n - k, probe) << k;
-  }
-  return mask;
-}
-
-__attribute__((target("avx512f"))) std::size_t SortedPrefixLeqAvx512(
-    const double* keys, std::size_t begin, std::size_t end, double bound) {
-  const __m512d b = _mm512_set1_pd(bound);
-  std::size_t k = begin;
-  for (; k + 8 <= end; k += 8) {
-    const unsigned m = static_cast<unsigned>(
-        _mm512_cmp_pd_mask(_mm512_loadu_pd(keys + k), b, _CMP_LE_OQ));
-    if (m != 0xFFu) {
-      return k - begin + static_cast<std::size_t>(std::countr_zero(m ^ 0xFFu));
-    }
-  }
-  return k - begin + SortedPrefixLeqScalar(keys, k, end, bound);
-}
-
 #endif  // SJSEL_KERNELS_X86
 
 }  // namespace
@@ -874,12 +483,6 @@ bool KernelBackendAvailable(KernelBackend backend) {
     case KernelBackend::kAvx2:
 #if SJSEL_KERNELS_X86
       return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case KernelBackend::kAvx512:
-#if SJSEL_KERNELS_X86
-      return __builtin_cpu_supports("avx512f");
 #else
       return false;
 #endif
@@ -904,20 +507,12 @@ void ClearKernelBackendOverride() {
   g_backend_override.store(-1, std::memory_order_relaxed);
 }
 
-void SetKernelBackendForTesting(KernelBackend backend) {
-  SetKernelBackendOverride(backend);
-}
-
-void ClearKernelBackendOverrideForTesting() { ClearKernelBackendOverride(); }
-
 const char* KernelBackendName(KernelBackend backend) {
   switch (backend) {
     case KernelBackend::kScalar:
       return "scalar";
     case KernelBackend::kAvx2:
       return "avx2";
-    case KernelBackend::kAvx512:
-      return "avx512";
   }
   return "?";
 }
@@ -927,8 +522,6 @@ bool ParseKernelBackend(const std::string& name, KernelBackend* out) {
     *out = KernelBackend::kScalar;
   } else if (name == "avx2") {
     *out = KernelBackend::kAvx2;
-  } else if (name == "avx512") {
-    *out = KernelBackend::kAvx512;
   } else {
     return false;
   }
@@ -951,128 +544,67 @@ KernelDispatchInfo GetKernelDispatchInfo() {
 
 void CellRangeBatch(const GridGeom& g, const SoaSlice& rects, int32_t* x0,
                     int32_t* y0, int32_t* x1, int32_t* y1) {
-  switch (ActiveKernelBackend()) {
 #if SJSEL_KERNELS_X86
-    case KernelBackend::kAvx512:
-      CellRangeBatchAvx512(g, rects, x0, y0, x1, y1);
-      return;
-    case KernelBackend::kAvx2:
-      CellRangeBatchAvx2(g, rects, x0, y0, x1, y1);
-      return;
-#endif
-    default:
-      CellRangeBatchScalar(g, rects, x0, y0, x1, y1);
+  if (ActiveKernelBackend() == KernelBackend::kAvx2) {
+    CellRangeBatchAvx2(g, rects, x0, y0, x1, y1);
+    return;
   }
-}
-
-void GhSingleCellTermsBatch(const GridGeom& g, const SoaSlice& rects,
-                            const int32_t* x0, const int32_t* y0,
-                            double* out_area, double* out_h, double* out_v) {
-  switch (ActiveKernelBackend()) {
-#if SJSEL_KERNELS_X86
-    case KernelBackend::kAvx512:
-      GhSingleCellTermsBatchAvx512(g, rects, x0, y0, out_area, out_h, out_v);
-      return;
-    case KernelBackend::kAvx2:
-      GhSingleCellTermsBatchAvx2(g, rects, x0, y0, out_area, out_h, out_v);
-      return;
 #endif
-    default:
-      GhSingleCellTermsBatchScalar(g, rects, x0, y0, out_area, out_h, out_v);
-  }
-}
-
-void PhContainedTermsBatch(const SoaSlice& rects, double* out_area,
-                           double* out_w, double* out_h) {
-  switch (ActiveKernelBackend()) {
-#if SJSEL_KERNELS_X86
-    case KernelBackend::kAvx512:
-      PhContainedTermsBatchAvx512(rects, out_area, out_w, out_h);
-      return;
-    case KernelBackend::kAvx2:
-      PhContainedTermsBatchAvx2(rects, out_area, out_w, out_h);
-      return;
-#endif
-    default:
-      PhContainedTermsBatchScalar(rects, out_area, out_w, out_h);
-  }
+  CellRangeBatchScalar(g, rects, x0, y0, x1, y1);
 }
 
 void GhEntryTermsBatch(const GridGeom& g, std::size_t n, const double* w,
                        const double* h, double* out_area, double* out_hf,
                        double* out_vf) {
-  switch (ActiveKernelBackend()) {
 #if SJSEL_KERNELS_X86
-    case KernelBackend::kAvx512:
-      GhEntryTermsBatchAvx512(g, n, w, h, out_area, out_hf, out_vf);
-      return;
-    case KernelBackend::kAvx2:
-      GhEntryTermsBatchAvx2(g, n, w, h, out_area, out_hf, out_vf);
-      return;
-#endif
-    default:
-      GhEntryTermsBatchScalar(g, n, w, h, out_area, out_hf, out_vf);
+  if (ActiveKernelBackend() == KernelBackend::kAvx2) {
+    GhEntryTermsBatchAvx2(g, n, w, h, out_area, out_hf, out_vf);
+    return;
   }
+#endif
+  GhEntryTermsBatchScalar(g, n, w, h, out_area, out_hf, out_vf);
 }
 
 void GhRectTermsBatch(const GridGeom& g, const Rect* rects, std::size_t n,
                       const GhRectTermsOut& out) {
-  switch (ActiveKernelBackend()) {
 #if SJSEL_KERNELS_X86
-    case KernelBackend::kAvx512:
-      GhRectTermsBatchAvx512(g, rects, n, out);
-      return;
-    case KernelBackend::kAvx2:
-      GhRectTermsBatchAvx2(g, rects, n, out);
-      return;
-#endif
-    default:
-      GhRectTermsBatchScalar(g, rects, n, out);
+  if (ActiveKernelBackend() == KernelBackend::kAvx2) {
+    GhRectTermsBatchAvx2(g, rects, n, out);
+    return;
   }
+#endif
+  GhRectTermsBatchScalar(g, rects, n, out);
 }
 
 void PhRectClipBatch(const GridGeom& g, const Rect* rects, std::size_t n,
                      const PhRectClipOut& out) {
-  switch (ActiveKernelBackend()) {
 #if SJSEL_KERNELS_X86
-    case KernelBackend::kAvx512:
-      PhRectClipBatchAvx512(g, rects, n, out);
-      return;
-    case KernelBackend::kAvx2:
-      PhRectClipBatchAvx2(g, rects, n, out);
-      return;
-#endif
-    default:
-      PhRectClipBatchScalar(g, rects, n, out);
+  if (ActiveKernelBackend() == KernelBackend::kAvx2) {
+    PhRectClipBatchAvx2(g, rects, n, out);
+    return;
   }
+#endif
+  PhRectClipBatchScalar(g, rects, n, out);
 }
 
 uint64_t IntersectMask64(const SoaSlice& rects, std::size_t begin,
                          std::size_t n, const Rect& probe) {
-  switch (ActiveKernelBackend()) {
 #if SJSEL_KERNELS_X86
-    case KernelBackend::kAvx512:
-      return IntersectMask64Avx512(rects, begin, n, probe);
-    case KernelBackend::kAvx2:
-      return IntersectMask64Avx2(rects, begin, n, probe);
-#endif
-    default:
-      return IntersectMask64Scalar(rects, begin, n, probe);
+  if (ActiveKernelBackend() == KernelBackend::kAvx2) {
+    return IntersectMask64Avx2(rects, begin, n, probe);
   }
+#endif
+  return IntersectMask64Scalar(rects, begin, n, probe);
 }
 
 std::size_t SortedPrefixLeq(const double* keys, std::size_t begin,
                             std::size_t end, double bound) {
-  switch (ActiveKernelBackend()) {
 #if SJSEL_KERNELS_X86
-    case KernelBackend::kAvx512:
-      return SortedPrefixLeqAvx512(keys, begin, end, bound);
-    case KernelBackend::kAvx2:
-      return SortedPrefixLeqAvx2(keys, begin, end, bound);
-#endif
-    default:
-      return SortedPrefixLeqScalar(keys, begin, end, bound);
+  if (ActiveKernelBackend() == KernelBackend::kAvx2) {
+    return SortedPrefixLeqAvx2(keys, begin, end, bound);
   }
+#endif
+  return SortedPrefixLeqScalar(keys, begin, end, bound);
 }
 
 }  // namespace sjsel

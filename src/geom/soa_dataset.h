@@ -22,12 +22,6 @@ struct SoaSlice {
   Rect RectAt(std::size_t i) const {
     return Rect(min_x[i], min_y[i], max_x[i], max_y[i]);
   }
-
-  /// The sub-view [begin, begin + count).
-  SoaSlice Sub(std::size_t begin, std::size_t count) const {
-    return SoaSlice{min_x + begin, min_y + begin, max_x + begin,
-                    max_y + begin, count};
-  }
 };
 
 /// Structure-of-arrays geometry layout: the same bag of MBRs a Dataset

@@ -399,6 +399,29 @@ TEST(CliTest, BadInjectFaultsSpecRejected) {
   EXPECT_NE(r.err.find("bad fault clause"), std::string::npos);
 }
 
+TEST(CliTest, KernelBackendFlag) {
+  // Unknown backend names are a usage error naming the accepted set.
+  const CliResult bad =
+      RunTool({"stats", "/nonexistent.ds", "--kernel-backend=avx512"});
+  EXPECT_EQ(bad.code, 2);
+  EXPECT_NE(bad.err.find("scalar|avx2"), std::string::npos) << bad.err;
+
+  // Forcing the scalar backend changes no byte of the answer.
+  const std::string ds_a = TempPath("cli_kb_a.ds");
+  const std::string ds_b = TempPath("cli_kb_b.ds");
+  ASSERT_EQ(RunTool({"gen", "uniform:1501", ds_a, "--seed=21"}).code, 0);
+  ASSERT_EQ(RunTool({"gen", "clustered:1499", ds_b, "--seed=22"}).code, 0);
+  const CliResult detected = RunTool({"estimate", ds_a, ds_b});
+  const CliResult scalar =
+      RunTool({"estimate", ds_a, ds_b, "--kernel-backend=scalar"});
+  EXPECT_EQ(detected.code, 0) << detected.err;
+  EXPECT_EQ(scalar.code, 0) << scalar.err;
+  EXPECT_NE(detected.out.find("estimated pairs"), std::string::npos);
+  EXPECT_EQ(scalar.out, detected.out);
+  std::remove(ds_a.c_str());
+  std::remove(ds_b.c_str());
+}
+
 TEST(CliTest, InjectedIoFaultIsDiagnosedNotCrashed) {
   const std::string ds = TempPath("cli_iofault.ds");
   ASSERT_EQ(RunTool({"gen", "uniform:200", ds}).code, 0);
